@@ -549,10 +549,7 @@ impl Coordinator {
 
         let served = self.logical.clone();
         let mut predicted = None;
-        let mut actuation = Actuation {
-            repartitioned: false,
-            units_moved: 0,
-        };
+        let mut actuation = Actuation::NONE;
         if let Some(epoch_solve) = &solve {
             if let Some(result) = &epoch_solve.result {
                 predicted = Some(result.cost);
@@ -634,7 +631,6 @@ impl Coordinator {
             per_tenant,
             predicted_cost: predicted,
             timings,
-            ingest: None,
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
             start_nanos,

@@ -1,7 +1,7 @@
 //! Multi-node hierarchical partition-sharing.
 //!
 //! One logical cache, many engine nodes: a [`Coordinator`] drives a
-//! fleet of [`ClusterNode`]s — in-process engine handles or live
+//! fleet of [`ClusterNode`]s — in-process engines or live
 //! `cps serve` daemons reached over the wire protocol — through
 //! externally clocked epochs. Each boundary exports per-tenant cost
 //! curves from every node, solves the two-level dynamic program of

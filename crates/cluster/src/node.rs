@@ -1,6 +1,6 @@
 //! One engine node as the coordinator sees it: a uniform facade over
-//! an in-process [`EngineHandle`] and a live `cps serve` daemon driven
-//! through the wire protocol's external-clocking verbs.
+//! an in-process [`RepartitionEngine`] and a live `cps serve` daemon
+//! driven through the wire protocol's external-clocking verbs.
 //!
 //! Both shapes speak the same four-beat protocol per epoch: records
 //! stream in (`push`), the boundary opens with an export of per-tenant
@@ -16,8 +16,7 @@
 
 use cps_cachesim::AccessCounts;
 use cps_engine::{
-    Actuation, Block, EngineConfig, EngineHandle, EngineKind, EngineReport, HandleError,
-    TenantCurve, TenantId,
+    Actuation, Block, EngineConfig, EngineReport, RepartitionEngine, TenantCurve, TenantId,
 };
 use cps_hotl::MissRatioCurve;
 use cps_serve::{Client, ServeError, WireCurve};
@@ -25,19 +24,17 @@ use cps_serve::{Client, ServeError, WireCurve};
 /// Why a node operation failed.
 #[derive(Debug)]
 pub enum NodeError {
-    /// A local engine handle refused the operation.
-    Engine(HandleError),
     /// The wire to a remote daemon failed or the daemon refused.
     Remote(ServeError),
-    /// A remote daemon answered with something that is not a valid
-    /// node response (e.g. curve samples outside `[0, 1]`).
+    /// A node answered with something that is not a valid node
+    /// response (e.g. curve samples outside `[0, 1]`, or an apply with
+    /// no epoch boundary open).
     Protocol(String),
 }
 
 impl std::fmt::Display for NodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NodeError::Engine(e) => write!(f, "{e}"),
             NodeError::Remote(e) => write!(f, "{e}"),
             NodeError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
@@ -45,12 +42,6 @@ impl std::fmt::Display for NodeError {
 }
 
 impl std::error::Error for NodeError {}
-
-impl From<HandleError> for NodeError {
-    fn from(e: HandleError) -> Self {
-        NodeError::Engine(e)
-    }
-}
 
 impl From<ServeError> for NodeError {
     fn from(e: ServeError) -> Self {
@@ -73,7 +64,7 @@ pub enum NodeFinish {
 }
 
 enum Inner {
-    Local(Box<EngineHandle>),
+    Local(Box<RepartitionEngine>),
     Remote(Client),
 }
 
@@ -103,11 +94,7 @@ impl ClusterNode {
         let bpu = config.cache.blocks_per_unit;
         let objective = config.objective.name();
         ClusterNode {
-            inner: Inner::Local(Box::new(EngineHandle::new(
-                EngineKind::Single,
-                config,
-                tenants,
-            ))),
+            inner: Inner::Local(Box::new(RepartitionEngine::new(config, tenants))),
             capacity,
             bpu,
             tenants,
@@ -173,8 +160,8 @@ impl ClusterNode {
     /// Streams a batch of records into the node.
     pub fn push(&mut self, records: &[(TenantId, Block)]) -> Result<(), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
-                handle.push_batch(records)?;
+            Inner::Local(engine) => {
+                engine.run(records.iter().copied());
                 Ok(())
             }
             Inner::Remote(client) => {
@@ -192,16 +179,16 @@ impl ClusterNode {
     /// correlates the boundary across nodes. The second return value
     /// is the node's profile wall clock in nanoseconds — the child
     /// span of the coordinator's epoch (local: measured around the
-    /// handle call; remote: carried back in the reply).
+    /// engine call; remote: carried back in the reply).
     pub fn export(
         &mut self,
         objective: &str,
         trace: Option<u64>,
     ) -> Result<(Vec<TenantCurve>, u64), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
+            Inner::Local(engine) => {
                 let started = std::time::Instant::now();
-                let curves = handle.export_cost_curves()?;
+                let curves = engine.export_epoch_curves();
                 Ok((curves, started.elapsed().as_nanos() as u64))
             }
             Inner::Remote(client) => {
@@ -224,9 +211,20 @@ impl ClusterNode {
         trace: Option<u64>,
     ) -> Result<(Actuation, u64), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
+            Inner::Local(engine) => {
+                // The engine panics on a malformed budget; refuse it the
+                // way a remote daemon does.
+                let (tenants, capacity) = (engine.tenants(), engine.config().cache.units);
+                if units.len() != tenants || units.iter().sum::<usize>() > capacity {
+                    return Err(NodeError::Protocol(format!(
+                        "allocation must give one budget to each of {tenants} tenants \
+                         and fit {capacity} units"
+                    )));
+                }
                 let started = std::time::Instant::now();
-                let actuation = handle.apply_allocation(units, predicted_cost, trace)?;
+                let actuation = engine
+                    .apply_external_allocation(Some(units), predicted_cost, trace)
+                    .ok_or_else(|| NodeError::Protocol("no epoch boundary open".to_string()))?;
                 Ok((actuation, started.elapsed().as_nanos() as u64))
             }
             Inner::Remote(client) => {
@@ -248,7 +246,7 @@ impl ClusterNode {
     /// daemons shut down and return their rendered journal.
     pub fn finish(self) -> Result<NodeFinish, NodeError> {
         match self.inner {
-            Inner::Local(handle) => Ok(NodeFinish::Local(handle.finish()?)),
+            Inner::Local(engine) => Ok(NodeFinish::Local(engine.finish())),
             Inner::Remote(client) => Ok(NodeFinish::Remote(client.shutdown()?)),
         }
     }
@@ -310,6 +308,20 @@ mod tests {
             }
             NodeFinish::Remote(_) => panic!("local node"),
         }
+    }
+
+    #[test]
+    fn malformed_local_budgets_are_typed_errors_not_panics() {
+        let mut node = ClusterNode::local(EngineConfig::new(CacheConfig::new(8, 1), 1_000), 2);
+        node.push(&[(0, 1), (1, 2)]).expect("push");
+        node.export("miss-ratio", None).expect("export");
+        for bad in [&[4, 2, 2][..], &[6, 3]] {
+            let err = node.apply(bad, None, None).expect_err("malformed budget");
+            assert!(matches!(err, NodeError::Protocol(_)), "{err:?}");
+            assert!(err.to_string().contains("fit 8 units"), "{err}");
+        }
+        // The boundary stays open for a well-formed budget.
+        node.apply(&[4, 4], None, None).expect("apply");
     }
 
     #[test]

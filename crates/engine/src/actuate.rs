@@ -10,9 +10,7 @@
 //! LRU tail), so hot data survives reconfiguration.
 //!
 //! The apply decision is a pure function of `(current, target,
-//! threshold)` — see [`units_moved`] — which is what lets a sharded
-//! engine run one actuator replica per shard and know every replica
-//! reaches the same verdict.
+//! threshold)` — see [`units_moved`].
 
 use crate::EngineConfig;
 use cps_cachesim::{AccessCounts, PartitionedCache};
@@ -23,7 +21,7 @@ use cps_trace::Block;
 /// of total growth and total shrinkage across tenants.
 ///
 /// When both allocations partition the same capacity (the in-engine
-/// case — `EpochCore` asserts every solver output does), growth equals
+/// case — the engine asserts every solver output does), growth equals
 /// shrinkage and this is exactly half the L1 distance: every unit
 /// leaving one tenant arrives at another. Unequal totals are
 /// legitimate under *budgeted* actuation — a cluster coordinator may
@@ -56,6 +54,15 @@ pub struct Actuation {
     /// Units the proposal would have moved (recorded even when the
     /// move was suppressed by hysteresis).
     pub units_moved: usize,
+}
+
+impl Actuation {
+    /// Nothing applied and nothing proposed: the verdict of a boundary
+    /// that skipped actuation.
+    pub const NONE: Actuation = Actuation {
+        repartitioned: false,
+        units_moved: 0,
+    };
 }
 
 /// The pipeline's cache-facing stage.
@@ -219,8 +226,8 @@ mod tests {
 
     #[test]
     fn replicas_reach_identical_verdicts() {
-        // The sharded engine's assumption: same knobs + same proposal
-        // => same decision on every replica, regardless of contents.
+        // The verdict is a pure function of the allocation: same knobs
+        // + same proposal => same decision, regardless of contents.
         let cfg = config(16, 3);
         let mut a = HysteresisActuator::new(&cfg, 2);
         let mut b = HysteresisActuator::new(&cfg, 2);

@@ -21,18 +21,10 @@
 //!    growing partitions just gain headroom, shrinking ones evict only
 //!    their LRU tail, so hot data survives reconfiguration.
 //!
-//! [`RepartitionEngine`] composes the three stages over a single access
-//! stream; [`ShardedEngine`] runs the same pipeline over `N` stream
-//! shards on real threads, merging per-shard profiles at each epoch
-//! barrier into one global solve (see [`shard`] for the protocol and its
-//! determinism guarantee); [`QueuedShardedEngine`] adds a fourth,
-//! **ingest**, stage (see [`ingest`]) — bounded per-shard queues with
-//! backpressure — so the shards profile and simulate concurrently with
-//! ingestion itself. Every epoch is recorded in an [`EngineReport`]
-//! (see [`report`]). [`EngineHandle`] (see [`handle`]) wraps any
-//! variant behind a shared, push-style front door with typed errors —
-//! the entry point the `cps-serve` network layer drives from
-//! concurrent connections.
+//! [`RepartitionEngine`] composes the three stages over one access
+//! stream and records every epoch in an [`EngineReport`] (see
+//! [`report`]). It is the only engine: the replay CLI, the `cps-serve`
+//! ingest pump and the cluster's local nodes all own one directly.
 //!
 //! The access stream is any `(tenant, block)` iterator;
 //! `cps_trace::InterleavedStream` produces one lazily from live
@@ -43,20 +35,14 @@
 #![warn(rust_2018_idioms)]
 
 pub mod actuate;
-pub mod handle;
-pub mod ingest;
 pub(crate) mod obs;
 pub mod profile;
 pub mod report;
-pub mod shard;
 pub mod solve;
 
 pub use actuate::{units_moved, Actuation, CacheActuator, HysteresisActuator};
-pub use handle::{EngineBox, EngineHandle, EngineKind, HandleError, PushReceipt};
-pub use ingest::{BufferedIngest, IngestStage, IngestStats, QueuedIngest};
 pub use profile::{default_profilers, window_solo_profiles, TenantProfiler};
 pub use report::{weighted_miss_ratio, EngineReport, EpochRecord};
-pub use shard::{QueuedShardedEngine, ShardedEngine};
 pub use solve::{DpPartitionSolver, PartitionSolver, SolveInput, SolveOutcome};
 // The observability vocabulary every engine record speaks, plus the
 // profiler-mode knob downstream crates (cps-serve) need to describe an
@@ -72,14 +58,12 @@ use cps_cachesim::AccessCounts;
 use cps_core::{CacheConfig, Objective};
 use cps_hotl::MissRatioCurve;
 use cps_obs::Stopwatch;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Tenant index into the engine's partitions and profilers.
 pub type TenantId = usize;
 
-/// Live-telemetry hook fired with each booked epoch record, on
-/// whichever thread closes the epoch (see
+/// Live-telemetry hook fired with each booked epoch record (see
 /// [`RepartitionEngine::set_epoch_hook`]).
 pub type EpochHook = Box<dyn FnMut(&EpochRecord) + Send>;
 
@@ -190,103 +174,306 @@ impl EngineConfig {
     }
 }
 
-/// The epoch machinery shared by [`RepartitionEngine`] and
-/// [`ShardedEngine`]: profile stage, solve stage, and the record
-/// keeping. Keeping one implementation is what makes the two engines'
-/// control decisions identical by construction.
-/// Epoch-boundary actuation callback: applies a target allocation to
-/// the live cache(s) and reports what physically happened.
-pub(crate) type ActuateFn<'a> = &'a mut dyn FnMut(&[usize]) -> Actuation;
-
-pub(crate) struct EpochCore {
-    pub(crate) config: EngineConfig,
-    pub(crate) profilers: Vec<Box<dyn TenantProfiler>>,
-    pub(crate) solver: Box<dyn PartitionSolver>,
-    pub(crate) epoch: usize,
-    pub(crate) records: Vec<EpochRecord>,
-    pub(crate) totals: Vec<AccessCounts>,
+/// The epoch-driven online repartitioning controller — the stage
+/// pipeline over one access stream.
+///
+/// # Examples
+///
+/// ```
+/// use cps_core::CacheConfig;
+/// use cps_engine::{EngineConfig, RepartitionEngine};
+/// use cps_trace::{InterleavedStream, WorkloadSpec};
+///
+/// let streams = vec![
+///     WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
+///     WorkloadSpec::UniformRandom { region: 200 }.stream(2),
+/// ];
+/// let feed = InterleavedStream::new(streams, vec![1.0, 1.0]);
+/// let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
+/// let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+/// engine.run(feed.take(20_000));
+/// let report = engine.finish();
+/// assert_eq!(report.epochs.len(), 10);
+/// // The loop tenant ends up with its working set covered.
+/// assert!(report.epochs.last().unwrap().allocation[0] >= 20);
+/// ```
+pub struct RepartitionEngine {
+    config: EngineConfig,
+    profilers: Vec<Box<dyn TenantProfiler>>,
+    solver: Box<dyn PartitionSolver>,
+    actuator: Box<dyn CacheActuator>,
+    epoch: usize,
+    epoch_accesses: usize,
+    records: Vec<EpochRecord>,
+    totals: Vec<AccessCounts>,
+    pending_external: Option<PendingBoundary>,
     /// Registered instrument handles; `None` runs fully uninstrumented.
-    pub(crate) metrics: Option<Arc<EngineMetrics>>,
+    metrics: Option<EngineMetrics>,
     /// Run clock anchor — epoch `start` timestamps are nanoseconds
     /// since this instant (journal v3).
-    pub(crate) run_start: Instant,
+    run_start: Instant,
     /// When the *current* (still open) epoch began serving, on the run
     /// clock. Epoch 0 starts at 0; each close re-anchors.
-    pub(crate) epoch_start_nanos: u64,
+    epoch_start_nanos: u64,
     /// Live-telemetry hook: called with each epoch record as it is
-    /// booked, on whichever thread closes the epoch. `None` costs
-    /// nothing.
-    pub(crate) emit: Option<EpochHook>,
+    /// booked. `None` costs nothing.
+    emit: Option<EpochHook>,
 }
 
-impl EpochCore {
-    fn new(config: EngineConfig, tenants: usize) -> Self {
+/// State parked between [`RepartitionEngine::export_epoch_curves`] and
+/// the matching [`RepartitionEngine::apply_external_allocation`]: the
+/// epoch just closed is not booked until the coordinator answers (or
+/// the boundary is abandoned by a new export or `finish`).
+struct PendingBoundary {
+    served_allocation: Vec<usize>,
+    per_tenant: Vec<AccessCounts>,
+    timings: StageTimings,
+}
+
+impl RepartitionEngine {
+    /// Creates an engine for `tenants` tenants with the default stages
+    /// (windowed profilers, DP solver, hysteresis actuator), starting
+    /// from an equal split of the cache.
+    ///
+    /// # Panics
+    /// Panics if `tenants` is zero.
+    pub fn new(config: EngineConfig, tenants: usize) -> Self {
         assert!(tenants > 0, "need at least one tenant");
-        EpochCore {
-            profilers: default_profilers(&config, tenants),
-            solver: Box::new(DpPartitionSolver::new(&config)),
-            epoch: 0,
-            records: Vec::new(),
-            totals: vec![AccessCounts::default(); tenants],
-            metrics: None,
-            run_start: Instant::now(),
-            epoch_start_nanos: 0,
-            emit: None,
-            config,
-        }
+        RepartitionEngine::with_stages(
+            config.clone(),
+            default_profilers(&config, tenants),
+            Box::new(DpPartitionSolver::new(&config)),
+            Box::new(HysteresisActuator::new(&config, tenants)),
+        )
     }
 
-    fn with_stages(
+    /// Like [`new`](Self::new), with instruments registered in
+    /// `registry`: a per-access access counter (one relaxed atomic
+    /// increment on the hot path; hits are batched in at epoch
+    /// boundaries), per-stage time counters, solve latency and
+    /// epoch-size histograms, and per-tenant allocation gauges.
+    ///
+    /// # Panics
+    /// Panics if `tenants` is zero.
+    pub fn with_metrics(config: EngineConfig, tenants: usize, registry: &MetricsRegistry) -> Self {
+        let mut engine = RepartitionEngine::new(config, tenants);
+        engine.metrics = Some(EngineMetrics::register(registry, tenants));
+        engine
+    }
+
+    /// Composes an engine from explicit stage implementations — the
+    /// escape hatch for swapping any stage (a sampled profiler, a
+    /// heuristic solver, a hardware-backed actuator) without touching
+    /// the control loop.
+    ///
+    /// # Panics
+    /// Panics if `profilers` is empty or its length disagrees with the
+    /// actuator's allocation.
+    pub fn with_stages(
         config: EngineConfig,
         profilers: Vec<Box<dyn TenantProfiler>>,
         solver: Box<dyn PartitionSolver>,
+        actuator: Box<dyn CacheActuator>,
     ) -> Self {
+        assert_eq!(
+            profilers.len(),
+            actuator.allocation_units().len(),
+            "one profiler per actuated tenant"
+        );
         assert!(!profilers.is_empty(), "need at least one tenant");
         let tenants = profilers.len();
-        EpochCore {
+        RepartitionEngine {
+            config,
             profilers,
             solver,
+            actuator,
             epoch: 0,
+            epoch_accesses: 0,
             records: Vec::new(),
             totals: vec![AccessCounts::default(); tenants],
+            pending_external: None,
             metrics: None,
             run_start: Instant::now(),
             epoch_start_nanos: 0,
             emit: None,
-            config,
         }
     }
 
-    /// Attaches registered instruments with `slots` hot-path lanes.
-    fn attach_metrics(&mut self, registry: &MetricsRegistry, slots: usize) {
-        self.metrics = Some(EngineMetrics::register(registry, self.tenants(), slots));
+    /// The engine's configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
     }
 
-    fn tenants(&self) -> usize {
+    /// Number of tenants.
+    pub fn tenants(&self) -> usize {
         self.profilers.len()
     }
 
-    /// Runs the epoch-boundary pipeline: totals, natural-baseline
-    /// snapshot, window close, re-solve, and (when `actuate` is given)
-    /// application of the chosen allocation. Appends the epoch record.
+    /// Current allocation in units.
+    pub fn allocation_units(&self) -> &[usize] {
+        self.actuator.allocation_units()
+    }
+
+    /// Epochs completed so far.
+    pub fn epochs_completed(&self) -> usize {
+        self.epoch
+    }
+
+    /// Serves one access; returns `true` on a hit. Crossing the epoch
+    /// boundary triggers the snapshot → re-solve → repartition step.
     ///
-    /// `pre` carries stage time the caller already attributed to this
-    /// epoch (ingest/fan-out/merge, which happen before the core sees
-    /// the boundary); the core adds its own profile, solve, and actuate
-    /// spans on top. `ingest_delta` is the epoch's backpressure delta
-    /// for queued front ends.
-    pub(crate) fn close_epoch(
-        &mut self,
-        served_allocation: Vec<usize>,
-        per_tenant: Vec<AccessCounts>,
-        pre: StageTimings,
-        ingest_delta: Option<IngestStats>,
-        actuate: Option<ActuateFn<'_>>,
-    ) {
-        let mut timings = pre;
-        for (t, c) in self.totals.iter_mut().zip(&per_tenant) {
-            t.merge(c);
+    /// # Panics
+    /// Panics if `tenant` is out of range.
+    pub fn record_access(&mut self, tenant: TenantId, block: Block) -> bool {
+        self.profilers[tenant].observe(block);
+        let hit = self.actuator.access(tenant, block);
+        if let Some(metrics) = &self.metrics {
+            metrics.accesses.inc();
         }
+        self.epoch_accesses += 1;
+        if self.epoch_accesses == self.config.epoch_length {
+            self.flush_pending();
+            self.close_epoch(true);
+        }
+        hit
+    }
+
+    /// Drains an interleaved stream through the engine. Bound infinite
+    /// streams with `Iterator::take`.
+    pub fn run(&mut self, accesses: impl IntoIterator<Item = (TenantId, Block)>) {
+        for (tenant, block) in accesses {
+            self.record_access(tenant, block);
+        }
+    }
+
+    /// Finishes the run, flushing any partial final epoch, and returns
+    /// the report.
+    ///
+    /// A trailing epoch shorter than `epoch_length` is profiled and
+    /// re-solved like any other (its counts enter the totals and its
+    /// record carries the solve's prediction and latency) but never
+    /// actuated — there is no next epoch for a new allocation to serve.
+    pub fn finish(mut self) -> EngineReport {
+        self.flush_pending();
+        if self.epoch_accesses > 0 {
+            self.close_epoch(false);
+        }
+        EngineReport {
+            tenants: self.totals.len(),
+            cache: self.config.cache,
+            objective: self.config.objective.name(),
+            epochs: self.records,
+            totals: self.totals,
+        }
+    }
+
+    /// Closes the current epoch under **external clocking** and exports
+    /// per-tenant state for an out-of-engine solve: realized counts and
+    /// the profiler's blended miss-ratio curve. The closed epoch is
+    /// parked, not yet booked — the caller completes the boundary with
+    /// [`apply_external_allocation`](Self::apply_external_allocation),
+    /// which records the epoch with the coordinator's verdict. An
+    /// export while a boundary is already open first books the open one
+    /// as unactuated.
+    ///
+    /// A cluster coordinator builds such engines with an effectively
+    /// infinite `epoch_length` so the internal clock never fires, and
+    /// drives every boundary through this pair.
+    pub fn export_epoch_curves(&mut self) -> Vec<TenantCurve> {
+        self.flush_pending();
+        let served_allocation = self.actuator.allocation_units().to_vec();
+        let per_tenant = self.actuator.take_counts();
+        self.epoch_accesses = 0;
+        let mut timings = StageTimings::default();
+        let profile_clock = Stopwatch::start();
+        let curves: Vec<Option<MissRatioCurve>> =
+            self.profilers.iter_mut().map(|p| p.end_window()).collect();
+        profile_clock.record(&mut timings, Stage::Profile);
+        let exported = per_tenant
+            .iter()
+            .zip(curves)
+            .map(|(counts, curve)| TenantCurve {
+                counts: *counts,
+                curve,
+            })
+            .collect();
+        self.pending_external = Some(PendingBoundary {
+            served_allocation,
+            per_tenant,
+            timings,
+        });
+        exported
+    }
+
+    /// Completes an externally clocked boundary opened by
+    /// [`export_epoch_curves`](Self::export_epoch_curves): actuates
+    /// `target` (if any) through the engine's own hysteresis stage and
+    /// books the parked epoch with the coordinator's `predicted_cost`.
+    /// Unlike the internal solve path, `target` may sum to *less* than
+    /// physical capacity — a coordinator can run a node on a budget.
+    ///
+    /// Returns `None` (and does nothing) when no boundary is open.
+    ///
+    /// # Panics
+    /// Panics if `target` has the wrong number of tenants or oversubscribes
+    /// the cache.
+    pub fn apply_external_allocation(
+        &mut self,
+        target: Option<&[usize]>,
+        predicted_cost: Option<f64>,
+        trace: Option<u64>,
+    ) -> Option<Actuation> {
+        let pending = self.pending_external.take()?;
+        let mut timings = pending.timings;
+        let actuation = match target {
+            Some(units) => {
+                assert_eq!(units.len(), self.tenants(), "one budget per tenant");
+                assert!(
+                    units.iter().sum::<usize>() <= self.config.cache.units,
+                    "allocation exceeds cache capacity"
+                );
+                let actuate_clock = Stopwatch::start();
+                let actuation = self.actuator.apply(units);
+                actuate_clock.record(&mut timings, Stage::Actuate);
+                actuation
+            }
+            None => Actuation::NONE,
+        };
+        self.book(
+            pending.served_allocation,
+            pending.per_tenant,
+            timings,
+            predicted_cost,
+            actuation,
+            trace,
+        );
+        Some(actuation)
+    }
+
+    /// Registers a live-telemetry hook fired with each booked epoch
+    /// record. Replaces any prior hook; an engine without one pays
+    /// nothing.
+    pub fn set_epoch_hook(&mut self, hook: EpochHook) {
+        self.emit = Some(hook);
+    }
+
+    /// Books a dangling external boundary as an unactuated epoch.
+    fn flush_pending(&mut self) {
+        if self.pending_external.is_some() {
+            self.apply_external_allocation(None, None, None);
+        }
+    }
+
+    /// Runs the epoch-boundary pipeline: natural-baseline snapshot,
+    /// window close, re-solve, and (when `actuate` is set) application
+    /// of the chosen allocation. Books the epoch record.
+    fn close_epoch(&mut self, actuate: bool) {
+        let served_allocation = self.actuator.allocation_units().to_vec();
+        let per_tenant = self.actuator.take_counts();
+        self.epoch_accesses = 0;
+        // Inline profiling/serving has no separable ingest span; every
+        // epoch starts from zeroed timings.
+        let mut timings = StageTimings::default();
 
         // Natural-baseline inputs need the exact epoch windows, captured
         // before `end_window` folds and resets them.
@@ -338,52 +525,33 @@ impl EpochCore {
             );
         }
 
-        let actuation = match (outcome.allocation, actuate) {
-            (Some(units), Some(apply)) => {
+        let actuation = match outcome.allocation {
+            Some(units) if actuate => {
                 let actuate_clock = Stopwatch::start();
-                let actuation = apply(&units);
+                let actuation = self.actuator.apply(&units);
                 actuate_clock.record(&mut timings, Stage::Actuate);
                 actuation
             }
-            _ => Actuation {
-                repartitioned: false,
-                units_moved: 0,
-            },
+            _ => Actuation::NONE,
         };
 
-        if let Some(metrics) = &self.metrics {
-            metrics.observe_epoch(
-                &served_allocation,
-                &per_tenant,
-                &timings,
-                actuation.repartitioned,
-                actuation.units_moved,
-                ingest_delta.as_ref(),
-            );
-        }
-
-        self.book(EpochRecord {
-            epoch: self.epoch,
-            start_nanos: self.epoch_start_nanos,
-            trace: None,
-            node_spans: Vec::new(),
-            allocation: served_allocation,
+        self.book(
+            served_allocation,
             per_tenant,
-            predicted_cost: outcome.predicted_cost,
             timings,
-            ingest: ingest_delta,
-            repartitioned: actuation.repartitioned,
-            units_moved: actuation.units_moved,
-        });
+            outcome.predicted_cost,
+            actuation,
+            None,
+        );
     }
 
-    /// Books an externally clocked epoch: the boundary's profile work
-    /// already happened at export time, the solve happened at the
-    /// coordinator, and `actuation` says what the local cache did with
-    /// the pushed-down allocation.
-    pub(crate) fn record_external_epoch(
+    /// Folds a closed epoch into the totals and instruments, appends
+    /// its record, fires the telemetry hook, and re-anchors the run
+    /// clock so the *next* epoch's `start` is the moment this boundary
+    /// completed.
+    fn book(
         &mut self,
-        served_allocation: Vec<usize>,
+        allocation: Vec<usize>,
         per_tenant: Vec<AccessCounts>,
         timings: StageTimings,
         predicted_cost: Option<f64>,
@@ -394,340 +562,25 @@ impl EpochCore {
             t.merge(c);
         }
         if let Some(metrics) = &self.metrics {
-            metrics.observe_epoch(
-                &served_allocation,
-                &per_tenant,
-                &timings,
-                actuation.repartitioned,
-                actuation.units_moved,
-                None,
-            );
+            metrics.observe_epoch(&allocation, &per_tenant, &timings, actuation);
         }
-        self.book(EpochRecord {
+        self.records.push(EpochRecord {
             epoch: self.epoch,
             start_nanos: self.epoch_start_nanos,
             trace,
             node_spans: Vec::new(),
-            allocation: served_allocation,
+            allocation,
             per_tenant,
             predicted_cost,
             timings,
-            ingest: None,
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
         });
-    }
-
-    /// Appends a finished epoch record, fires the telemetry hook, and
-    /// re-anchors the run clock so the *next* epoch's `start` is the
-    /// moment this boundary completed.
-    fn book(&mut self, record: EpochRecord) {
-        self.records.push(record);
         self.epoch += 1;
         self.epoch_start_nanos = self.run_start.elapsed().as_nanos() as u64;
         if let Some(emit) = &mut self.emit {
             emit(self.records.last().expect("record just pushed"));
         }
-    }
-
-    fn into_report(self) -> EngineReport {
-        EngineReport {
-            tenants: self.totals.len(),
-            cache: self.config.cache,
-            objective: self.config.objective.name(),
-            epochs: self.records,
-            totals: self.totals,
-            ingest: None,
-        }
-    }
-}
-
-/// The epoch-driven online repartitioning controller — the stage
-/// pipeline over one access stream.
-///
-/// # Examples
-///
-/// ```
-/// use cps_core::CacheConfig;
-/// use cps_engine::{EngineConfig, RepartitionEngine};
-/// use cps_trace::{InterleavedStream, WorkloadSpec};
-///
-/// let streams = vec![
-///     WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
-///     WorkloadSpec::UniformRandom { region: 200 }.stream(2),
-/// ];
-/// let feed = InterleavedStream::new(streams, vec![1.0, 1.0]);
-/// let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
-/// let mut engine = RepartitionEngine::new(cfg.clone(), 2);
-/// engine.run(feed.take(20_000));
-/// let report = engine.finish();
-/// assert_eq!(report.epochs.len(), 10);
-/// // The loop tenant ends up with its working set covered.
-/// assert!(report.epochs.last().unwrap().allocation[0] >= 20);
-/// ```
-pub struct RepartitionEngine {
-    core: EpochCore,
-    actuator: Box<dyn CacheActuator>,
-    epoch_accesses: usize,
-    pending_external: Option<PendingBoundary>,
-}
-
-/// State parked between [`RepartitionEngine::export_epoch_curves`] and
-/// the matching [`RepartitionEngine::apply_external_allocation`]: the
-/// epoch just closed is not booked until the coordinator answers (or
-/// the boundary is abandoned by a new export or `finish`).
-struct PendingBoundary {
-    served_allocation: Vec<usize>,
-    per_tenant: Vec<AccessCounts>,
-    timings: StageTimings,
-}
-
-impl RepartitionEngine {
-    /// Creates an engine for `tenants` tenants with the default stages
-    /// (windowed profilers, DP solver, hysteresis actuator), starting
-    /// from an equal split of the cache.
-    ///
-    /// # Panics
-    /// Panics if `tenants` is zero.
-    pub fn new(config: EngineConfig, tenants: usize) -> Self {
-        assert!(tenants > 0, "need at least one tenant");
-        RepartitionEngine {
-            actuator: Box::new(HysteresisActuator::new(&config, tenants)),
-            core: EpochCore::new(config, tenants),
-            epoch_accesses: 0,
-            pending_external: None,
-        }
-    }
-
-    /// Like [`new`](Self::new), with instruments registered in
-    /// `registry`: a per-access access counter (one relaxed atomic
-    /// increment on the hot path; hits are batched in at epoch
-    /// boundaries), per-stage time counters, solve latency and
-    /// epoch-size histograms, and per-tenant allocation gauges.
-    ///
-    /// # Panics
-    /// Panics if `tenants` is zero.
-    pub fn with_metrics(config: EngineConfig, tenants: usize, registry: &MetricsRegistry) -> Self {
-        let mut engine = RepartitionEngine::new(config, tenants);
-        engine.core.attach_metrics(registry, 1);
-        engine
-    }
-
-    /// Composes an engine from explicit stage implementations — the
-    /// escape hatch for swapping any stage (a sampled profiler, a
-    /// heuristic solver, a hardware-backed actuator) without touching
-    /// the control loop.
-    ///
-    /// # Panics
-    /// Panics if `profilers` is empty or its length disagrees with the
-    /// actuator's allocation.
-    pub fn with_stages(
-        config: EngineConfig,
-        profilers: Vec<Box<dyn TenantProfiler>>,
-        solver: Box<dyn PartitionSolver>,
-        actuator: Box<dyn CacheActuator>,
-    ) -> Self {
-        assert_eq!(
-            profilers.len(),
-            actuator.allocation_units().len(),
-            "one profiler per actuated tenant"
-        );
-        RepartitionEngine {
-            core: EpochCore::with_stages(config, profilers, solver),
-            actuator,
-            epoch_accesses: 0,
-            pending_external: None,
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.core.tenants()
-    }
-
-    /// Current allocation in units.
-    pub fn allocation_units(&self) -> &[usize] {
-        self.actuator.allocation_units()
-    }
-
-    /// Epochs completed so far.
-    pub fn epochs_completed(&self) -> usize {
-        self.core.epoch
-    }
-
-    /// Serves one access; returns `true` on a hit. Crossing the epoch
-    /// boundary triggers the snapshot → re-solve → repartition step.
-    ///
-    /// # Panics
-    /// Panics if `tenant` is out of range.
-    pub fn record_access(&mut self, tenant: TenantId, block: Block) -> bool {
-        self.core.profilers[tenant].observe(block);
-        let hit = self.actuator.access(tenant, block);
-        if let Some(metrics) = &self.core.metrics {
-            metrics.accesses.add(0, 1);
-        }
-        self.epoch_accesses += 1;
-        if self.epoch_accesses == self.core.config.epoch_length {
-            self.end_epoch();
-        }
-        hit
-    }
-
-    /// Drains an interleaved stream through the engine. Bound infinite
-    /// streams with `Iterator::take`.
-    pub fn run(&mut self, accesses: impl IntoIterator<Item = (TenantId, Block)>) {
-        for (tenant, block) in accesses {
-            self.record_access(tenant, block);
-        }
-    }
-
-    /// Finishes the run, flushing any partial final epoch, and returns
-    /// the report.
-    ///
-    /// A trailing epoch shorter than `epoch_length` is profiled and
-    /// re-solved like any other (its counts enter the totals and its
-    /// record carries the solve's prediction and latency) but never
-    /// actuated — there is no next epoch for a new allocation to serve.
-    pub fn finish(mut self) -> EngineReport {
-        self.flush_pending();
-        if self.epoch_accesses > 0 {
-            let served_allocation = self.actuator.allocation_units().to_vec();
-            let per_tenant = self.actuator.take_counts();
-            self.core.close_epoch(
-                served_allocation,
-                per_tenant,
-                StageTimings::default(),
-                None,
-                None,
-            );
-        }
-        self.core.into_report()
-    }
-
-    /// Closes the current epoch under **external clocking** and exports
-    /// per-tenant state for an out-of-engine solve: realized counts and
-    /// the profiler's blended miss-ratio curve. The closed epoch is
-    /// parked, not yet booked — the caller completes the boundary with
-    /// [`apply_external_allocation`](Self::apply_external_allocation),
-    /// which records the epoch with the coordinator's verdict. An
-    /// export while a boundary is already open first books the open one
-    /// as unactuated.
-    ///
-    /// A cluster coordinator builds such engines with an effectively
-    /// infinite `epoch_length` so the internal clock never fires, and
-    /// drives every boundary through this pair.
-    pub fn export_epoch_curves(&mut self) -> Vec<TenantCurve> {
-        self.flush_pending();
-        let served_allocation = self.actuator.allocation_units().to_vec();
-        let per_tenant = self.actuator.take_counts();
-        self.epoch_accesses = 0;
-        let mut timings = StageTimings::default();
-        let profile_clock = Stopwatch::start();
-        let curves: Vec<Option<MissRatioCurve>> = self
-            .core
-            .profilers
-            .iter_mut()
-            .map(|p| p.end_window())
-            .collect();
-        profile_clock.record(&mut timings, Stage::Profile);
-        let exported = per_tenant
-            .iter()
-            .zip(curves)
-            .map(|(counts, curve)| TenantCurve {
-                counts: *counts,
-                curve,
-            })
-            .collect();
-        self.pending_external = Some(PendingBoundary {
-            served_allocation,
-            per_tenant,
-            timings,
-        });
-        exported
-    }
-
-    /// Completes an externally clocked boundary opened by
-    /// [`export_epoch_curves`](Self::export_epoch_curves): actuates
-    /// `target` (if any) through the engine's own hysteresis stage and
-    /// books the parked epoch with the coordinator's `predicted_cost`.
-    /// Unlike the internal solve path, `target` may sum to *less* than
-    /// physical capacity — a coordinator can run a node on a budget.
-    ///
-    /// Returns `None` (and does nothing) when no boundary is open.
-    ///
-    /// # Panics
-    /// Panics if `target` has the wrong number of tenants or oversubscribes
-    /// the cache.
-    pub fn apply_external_allocation(
-        &mut self,
-        target: Option<&[usize]>,
-        predicted_cost: Option<f64>,
-        trace: Option<u64>,
-    ) -> Option<Actuation> {
-        let pending = self.pending_external.take()?;
-        let mut timings = pending.timings;
-        let actuation = match target {
-            Some(units) => {
-                assert_eq!(units.len(), self.tenants(), "one budget per tenant");
-                assert!(
-                    units.iter().sum::<usize>() <= self.core.config.cache.units,
-                    "allocation exceeds cache capacity"
-                );
-                let actuate_clock = Stopwatch::start();
-                let actuation = self.actuator.apply(units);
-                actuate_clock.record(&mut timings, Stage::Actuate);
-                actuation
-            }
-            None => Actuation {
-                repartitioned: false,
-                units_moved: 0,
-            },
-        };
-        self.core.record_external_epoch(
-            pending.served_allocation,
-            pending.per_tenant,
-            timings,
-            predicted_cost,
-            actuation,
-            trace,
-        );
-        Some(actuation)
-    }
-
-    /// Registers a live-telemetry hook fired with each booked epoch
-    /// record, on whichever thread closes the epoch. Replaces any
-    /// prior hook; an engine without one pays nothing.
-    pub fn set_epoch_hook(&mut self, hook: EpochHook) {
-        self.core.emit = Some(hook);
-    }
-
-    /// Books a dangling external boundary as an unactuated epoch.
-    fn flush_pending(&mut self) {
-        if self.pending_external.is_some() {
-            self.apply_external_allocation(None, None, None);
-        }
-    }
-
-    fn end_epoch(&mut self) {
-        self.flush_pending();
-        let served_allocation = self.actuator.allocation_units().to_vec();
-        let per_tenant = self.actuator.take_counts();
-        self.epoch_accesses = 0;
-        let actuator = &mut self.actuator;
-        self.core.close_epoch(
-            served_allocation,
-            per_tenant,
-            // Inline profiling/serving has no separable ingest span; the
-            // single engine's epochs start from zeroed pre-timings.
-            StageTimings::default(),
-            None,
-            Some(&mut |units: &[usize]| actuator.apply(units)),
-        );
     }
 }
 
@@ -961,5 +814,113 @@ mod tests {
             600,
             "every access lands in exactly one epoch"
         );
+    }
+
+    fn four_tenant_cotrace(total: usize) -> Vec<(usize, u64)> {
+        let specs = [
+            WorkloadSpec::SequentialLoop { working_set: 24 },
+            WorkloadSpec::Zipfian {
+                region: 150,
+                alpha: 0.8,
+            },
+            WorkloadSpec::WorkingSetWalk {
+                region: 300,
+                window: 30,
+                dwell: 500,
+            },
+            WorkloadSpec::UniformRandom { region: 400 },
+        ];
+        let traces: Vec<Trace> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.generate(total, 1 + i as u64))
+            .collect();
+        let refs: Vec<&Trace> = traces.iter().collect();
+        let co = interleave_proportional(&refs, &[1.0, 2.0, 1.0, 1.5], total);
+        co.tenant_accesses().collect()
+    }
+
+    /// The registered counters agree with the report's own totals,
+    /// whether boundaries come from the engine's clock or from an
+    /// external coordinator (both book through the same path).
+    #[test]
+    fn registered_metrics_agree_with_the_report() {
+        let accesses = four_tenant_cotrace(20_000);
+
+        let check = |report: &EngineReport, registry: &MetricsRegistry, label: &str| {
+            let snap = registry.snapshot();
+            let counter = |name: &str| match snap.get(name) {
+                Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
+                other => panic!("{label}: {name} -> {other:?}"),
+            };
+            let total_acc: u64 = report.totals.iter().map(|c| c.accesses).sum();
+            let total_hits: u64 = report.totals.iter().map(|c| c.accesses - c.misses).sum();
+            assert_eq!(counter("cps_engine_accesses_total"), total_acc, "{label}");
+            assert_eq!(counter("cps_engine_hits_total"), total_hits, "{label}");
+            assert_eq!(
+                counter("cps_engine_epochs_total"),
+                report.epochs.len() as u64,
+                "{label}"
+            );
+            assert_eq!(
+                counter("cps_engine_repartitions_total"),
+                report.repartition_count() as u64,
+                "{label}"
+            );
+            let moved: usize = report.epochs.iter().map(|e| e.units_moved).sum();
+            assert_eq!(
+                counter("cps_engine_units_moved_total"),
+                moved as u64,
+                "{label}"
+            );
+            for (stage, nanos) in report.stage_totals().iter() {
+                assert_eq!(
+                    counter(&format!("cps_engine_stage_{}_nanos_total", stage.name())),
+                    nanos,
+                    "{label}: {stage}"
+                );
+            }
+            let last = &report.epochs.last().expect("epochs booked").allocation;
+            for (t, &units) in last.iter().enumerate() {
+                assert_eq!(
+                    snap.get(&format!("cps_engine_tenant_{t}_units")),
+                    Some(&cps_obs::metrics::SampleValue::Gauge(units as i64)),
+                    "{label}: tenant {t} gauge"
+                );
+            }
+        };
+
+        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000);
+        let registry = MetricsRegistry::new();
+        let mut single = RepartitionEngine::with_metrics(cfg, 4, &registry);
+        single.run(accesses.iter().copied());
+        let report = single.finish();
+        check(&report, &registry, "single");
+        assert!(
+            report.stage_totals().solve_nanos > 0,
+            "single: solves timed"
+        );
+
+        // Externally clocked: alternate two budgets (one under capacity),
+        // skip one apply so an unactuated boundary is booked, and leave
+        // the final boundary dangling for `finish` to flush.
+        let cfg = EngineConfig::new(CacheConfig::new(64, 1), usize::MAX).hysteresis(1);
+        let registry = MetricsRegistry::new();
+        let mut external = RepartitionEngine::with_metrics(cfg, 4, &registry);
+        let budgets: [&[usize]; 2] = [&[40, 8, 8, 8], &[10, 20, 10, 20]];
+        for (i, chunk) in accesses.chunks(4_000).enumerate() {
+            external.run(chunk.iter().copied());
+            external.export_epoch_curves();
+            if i != 2 {
+                external.apply_external_allocation(Some(budgets[i % 2]), Some(0.5), None);
+            }
+        }
+        external.run(accesses[..500].iter().copied());
+        external.export_epoch_curves();
+        let report = external.finish();
+        assert_eq!(report.epochs.len(), 6);
+        assert!(report.repartition_count() >= 3, "budgets were applied");
+        check(&report, &registry, "external");
+        assert_eq!(report.stage_totals().solve_nanos, 0, "external: no solve");
     }
 }

@@ -31,8 +31,10 @@ pub trait TenantProfiler: Send {
     fn window_reuse(&self) -> ReuseProfile;
 
     /// Merges a chunk profiler into the current window, exactly as if
-    /// its accesses had been observed here in order — the shard-merge
-    /// primitive (see [`OnlineProfiler::absorb`]).
+    /// its accesses had been observed here in order (see
+    /// [`OnlineProfiler::absorb`]). The engine itself never calls it:
+    /// it observes every access inline. It stays part of the stage
+    /// contract for profilers fed from pre-profiled chunks.
     fn absorb_window(&mut self, chunk: &OnlineProfiler);
 
     /// Ends the window and returns the blended miss-ratio curve, or

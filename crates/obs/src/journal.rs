@@ -623,6 +623,15 @@ impl Journal {
                     e.epoch, e.allocation, self.header.units
                 ));
             }
+            for (tenant, (&accesses, &misses)) in e.accesses.iter().zip(&e.misses).enumerate() {
+                if misses > accesses {
+                    return Err(format!(
+                        "epoch {}: tenant {tenant} has {misses} misses but only \
+                         {accesses} accesses",
+                        e.epoch
+                    ));
+                }
+            }
             derived.accesses += e.accesses.iter().sum::<u64>();
             derived.misses += e.misses.iter().sum::<u64>();
             derived.repartitions += usize::from(e.repartitioned);
@@ -1044,6 +1053,18 @@ mod tests {
         journal.epochs[0].allocation = vec![32, 31];
         let err = Journal::parse(&render(&journal)).unwrap_err();
         assert!(err.contains("partition"), "{err}");
+    }
+
+    #[test]
+    fn misses_beyond_accesses_are_rejected_even_when_totals_agree() {
+        let mut journal = sample_journal();
+        journal.epochs[1].misses[0] = 600; // of 500 accesses
+        journal.summary.misses += 595; // keep the summary consistent
+        let err = Journal::parse(&render(&journal)).unwrap_err();
+        assert!(
+            err.contains("epoch 1: tenant 0 has 600 misses but only 500 accesses"),
+            "{err}"
+        );
     }
 
     #[test]

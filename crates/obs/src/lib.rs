@@ -11,13 +11,12 @@
 //! Three layers, one module each:
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of named instruments: atomic
-//!   [`Counter`]s, [`Gauge`]s, log-2-bucketed [`Histogram`]s, and
-//!   [`ShardedCounter`]s (per-worker cache-padded slots for the queued
-//!   engine's contended hot path). Snapshots export as a human table,
+//!   [`Counter`]s, [`Gauge`]s, and log-2-bucketed [`Histogram`]s.
+//!   Snapshots export as a human table,
 //!   JSONL, or Prometheus text format.
 //! * [`span`] — the [`Stage`] taxonomy and the per-epoch
 //!   [`StageTimings`] block that replaces ad-hoc wall-clock fields:
-//!   every engine variant attributes its epoch to the same five stages.
+//!   every epoch is attributed to the same five stages.
 //! * [`journal`] — the epoch-granular structured event journal: one
 //!   JSONL line per epoch boundary (allocation, per-tenant realized
 //!   counts, solve verdict, stage timings, backpressure deltas) between
@@ -46,7 +45,7 @@ pub use journal::{
     parse_journal_line, BackpressureDelta, EpochEvent, Journal, JournalLine, MigrationEvent,
     NodeSpan, RunHeader, RunSummary, JOURNAL_VERSION,
 };
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ShardedCounter};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{Stage, StageTimings, Stopwatch};
 pub use tournament::{
     parse_tournament_line, TournamentHeader, TournamentJournal, TournamentLine, TournamentRow,

@@ -6,16 +6,13 @@
 //! registry itself is only locked at registration and snapshot time,
 //! never per sample.
 //!
-//! Four instrument kinds:
+//! Three instrument kinds:
 //!
 //! * [`Counter`] — monotone `u64`;
 //! * [`Gauge`] — signed last-written value;
 //! * [`Histogram`] — log-2-bucketed `u64` samples (65 fixed buckets, so
 //!   recording is one `fetch_add` with no allocation or comparison
-//!   ladder);
-//! * [`ShardedCounter`] — one cache-line-padded slot per worker, summed
-//!   at read time: the queued engine's shard workers each increment
-//!   their own line instead of contending on one.
+//!   ladder).
 //!
 //! [`MetricsRegistry::snapshot`] freezes every instrument into a
 //! [`MetricsSnapshot`], which renders as a human summary table
@@ -166,60 +163,12 @@ impl Histogram {
     }
 }
 
-/// Pads a counter slot to its own cache line so workers on different
-/// slots never false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedSlot(AtomicU64);
-
-/// A counter split into per-worker slots, summed at read time.
-///
-/// Each concurrent writer owns one slot index (the queued engine hands
-/// every shard worker its shard id), so the hot-path increment touches
-/// a cache line no other worker writes. `get` sums the slots — reads
-/// are rare (snapshots), writes are the hot path.
-#[derive(Clone, Debug)]
-pub struct ShardedCounter(Arc<Vec<PaddedSlot>>);
-
-impl ShardedCounter {
-    /// Creates a detached counter with `slots` independent lanes.
-    ///
-    /// # Panics
-    /// Panics if `slots` is zero.
-    pub fn new(slots: usize) -> Self {
-        assert!(slots > 0, "need at least one slot");
-        ShardedCounter(Arc::new(
-            (0..slots).map(|_| PaddedSlot::default()).collect(),
-        ))
-    }
-
-    /// Adds `n` on `slot`'s private lane.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range.
-    #[inline]
-    pub fn add(&self, slot: usize, n: u64) {
-        self.0[slot].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Number of lanes.
-    pub fn slots(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Sum across all lanes.
-    pub fn get(&self) -> u64 {
-        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
 /// A registered instrument.
 #[derive(Clone, Debug)]
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-    Sharded(ShardedCounter),
 }
 
 struct Entry {
@@ -304,26 +253,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers (or retrieves) a sharded counter with `slots` lanes.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different kind, or
-    /// if it exists with a different slot count.
-    pub fn sharded_counter(&self, name: &str, help: &str, slots: usize) -> ShardedCounter {
-        match self.register(name, help, Instrument::Sharded(ShardedCounter::new(slots))) {
-            Instrument::Sharded(s) => {
-                assert_eq!(
-                    s.slots(),
-                    slots,
-                    "{name} registered with {} slots",
-                    s.slots()
-                );
-                s
-            }
-            other => panic!("{name} already registered as {other:?}"),
-        }
-    }
-
     /// Freezes every instrument's current value.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let entries = self.entries.lock().expect("registry lock");
@@ -335,7 +264,6 @@ impl MetricsRegistry {
                 value: match &e.instrument {
                     Instrument::Counter(c) => SampleValue::Counter(c.get()),
                     Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
-                    Instrument::Sharded(s) => SampleValue::Counter(s.get()),
                     Instrument::Histogram(h) => SampleValue::Histogram {
                         count: h.count(),
                         sum: h.sum(),
@@ -352,7 +280,7 @@ impl MetricsRegistry {
 /// One instrument's frozen value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SampleValue {
-    /// Counter (or summed sharded counter) value.
+    /// Counter value.
     Counter(u64),
     /// Gauge value.
     Gauge(i64),
@@ -511,7 +439,6 @@ fn prometheus_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     #[test]
     fn counters_and_gauges_round_trip() {
@@ -569,24 +496,6 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
-    }
-
-    #[test]
-    fn sharded_counter_sums_across_threads() {
-        let c = ShardedCounter::new(4);
-        let mut handles = Vec::new();
-        for slot in 0..4 {
-            let c = c.clone();
-            handles.push(thread::spawn(move || {
-                for _ in 0..1_000 {
-                    c.add(slot, 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 4_000);
     }
 
     #[test]

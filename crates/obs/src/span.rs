@@ -13,15 +13,18 @@ use std::time::Instant;
 
 /// The engine pipeline's stage taxonomy, in pipeline order.
 ///
-/// What each stage means per engine variant (see DESIGN.md §3.9):
+/// What each stage means (see DESIGN.md §3.9):
 ///
-/// | stage | single | sharded (buffered) | sharded (queued) |
-/// |---|---|---|---|
-/// | `Ingest` | — (inline) | epoch buffer take + chunking | barrier fence + producer backpressure waits |
-/// | `Profile` | window close | chunk fan-out (profile + serve) | barrier wait for shard results |
-/// | `Merge` | — | HOTL window absorption | HOTL window absorption |
-/// | `Solve` | DP re-solve | DP re-solve | DP re-solve |
-/// | `Actuate` | cache apply | replica broadcast | verdict broadcast |
+/// | stage | engine | cluster coordinator |
+/// |---|---|---|
+/// | `Ingest` | — (inline) | flushing buffered records to nodes |
+/// | `Profile` | window close | node curve export |
+/// | `Merge` | — | — |
+/// | `Solve` | DP re-solve | two-level DP |
+/// | `Actuate` | cache apply | budget push-down |
+///
+/// `Merge` stays in the taxonomy (and `merge_nanos` in the journal)
+/// because journals written by the removed sharded engines carry it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Routing/buffering accesses toward their shard.
@@ -76,7 +79,8 @@ pub struct StageTimings {
     pub ingest_nanos: u64,
     /// Window profiling time (fan-out work or window close).
     pub profile_nanos: u64,
-    /// HOTL merge time (0 for the unsharded engine).
+    /// HOTL merge time (always 0 today; nonzero only in journals of
+    /// the removed sharded engines).
     pub merge_nanos: u64,
     /// Re-solve time: cost-curve building plus the DP itself
     /// (0 if the boundary skipped its solve).

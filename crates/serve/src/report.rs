@@ -8,8 +8,9 @@
 //! **stable fields** — exactly the fields the engines' own
 //! determinism guarantees cover (allocations, per-tenant counts, solve
 //! verdicts, actuation record, totals) and *not* the [`StageTimings`]
-//! blocks or queued-ingest backpressure deltas, which are wall clock
-//! by definition.
+//! blocks, epoch start times, trace ids or the backpressure deltas of
+//! older queued-engine journals, which are wall clock or run-local by
+//! definition.
 //!
 //! [`identity_of_report`] and [`identity_of_journal`] render both
 //! sides into one canonical text (timings zeroed, backpressure
@@ -80,7 +81,8 @@ pub fn identity_of_journal(journal: &Journal) -> String {
 mod tests {
     use super::*;
     use cps_core::CacheConfig;
-    use cps_engine::{EngineConfig, QueuedShardedEngine, RepartitionEngine};
+    use cps_engine::{EngineConfig, RepartitionEngine};
+    use cps_obs::BackpressureDelta;
 
     fn feed() -> Vec<(usize, u64)> {
         (0..2_500u64).map(|i| ((i % 2) as usize, i % 30)).collect()
@@ -110,30 +112,40 @@ mod tests {
         assert_eq!(journal.header.engine, "single");
     }
 
-    /// The whole point: two executions of the same run — one with real
-    /// wall clock and backpressure, one without — canonicalize to the
-    /// same bytes, while a genuinely different run does not.
+    /// The whole point: two executions of the same run — with
+    /// different wall clock, and one journal carrying backpressure
+    /// deltas — canonicalize to the same bytes, while a genuinely
+    /// different run does not.
     #[test]
     fn identity_ignores_wall_clock_but_not_substance() {
         let cfg = EngineConfig::new(CacheConfig::new(16, 1), 500);
-        let mut single = RepartitionEngine::new(cfg.clone(), 2);
-        single.run(feed());
-        let single = single.finish();
-
-        // A queued 1-shard run: same control trajectory and counts,
-        // wildly different timings and nonzero backpressure deltas.
-        let mut queued = QueuedShardedEngine::new(cfg.clone(), 2, 1, 8);
-        queued.run(feed());
-        let queued = queued.finish();
+        let run = || {
+            let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+            engine.run(feed());
+            engine.finish()
+        };
+        let single = run();
+        let mut again = run();
+        for e in &mut again.epochs {
+            e.timings.solve_nanos += 1_000;
+            e.start_nanos += 7;
+        }
 
         let h = header("single", 1);
         let a = identity_of_report(&h, &single);
-        let b = identity_of_report(&h, &queued);
-        assert_eq!(a, b, "wall clock and backpressure are excluded");
+        let b = identity_of_report(&h, &again);
+        assert_eq!(a, b, "wall clock is excluded");
 
-        // Round-tripping through the wire journal preserves identity.
-        let journal = Journal::parse(&render_journal(&h, &queued)).unwrap();
+        // Round-tripping through the wire journal preserves identity,
+        // and backpressure deltas (older queued journals) are ignored.
+        let mut journal = Journal::parse(&render_journal(&h, &again)).unwrap();
         assert_eq!(identity_of_journal(&journal), a);
+        journal.epochs[0].backpressure = Some(BackpressureDelta {
+            pushed: 500,
+            blocked: 3,
+            wait_nanos: 77,
+        });
+        assert_eq!(identity_of_journal(&journal), a, "backpressure is excluded");
 
         // A different stream is a different identity.
         let mut other = RepartitionEngine::new(cfg.clone(), 2);
@@ -142,7 +154,7 @@ mod tests {
         assert_ne!(a, c, "different runs must not collide");
 
         // A different header is a different identity too.
-        let d = identity_of_report(&header("queued", 4), &queued);
+        let d = identity_of_report(&header("sharded", 4), &again);
         assert_ne!(b, d);
     }
 }

@@ -4,8 +4,9 @@
 //! **Threads.** Exactly two, regardless of how many clients connect:
 //! the *event loop* (the caller of [`Server::run`]) owns the listener
 //! and every session socket behind the crate's zero-dep poller, and the
-//! *pump* owns the [`EngineBox`] outright — no mutex on the ingest hot
-//! path. Thousands of idle sessions cost file descriptors, not stacks.
+//! *pump* owns the [`RepartitionEngine`] outright — no mutex on the
+//! ingest hot path. Thousands of idle sessions cost file descriptors,
+//! not stacks.
 //!
 //! **Sequencing window.** The engine's determinism contract is that
 //! the global access stream has one canonical order. A single
@@ -14,9 +15,9 @@
 //! carry explicit global stream positions; the event loop places them
 //! into a bounded reorder ring (`window_cap` slots, position `p` in
 //! slot `p % cap`) and the pump consumes the contiguous prefix,
-//! feeding the engine — and, for the queued engine, its per-shard SPSC
-//! queues — in canonical order. Identity with an in-process run holds
-//! by construction: the engine sees exactly the stream `0, 1, 2, …`.
+//! feeding the engine in canonical order. Identity with an in-process
+//! run holds by construction: the engine sees exactly the stream
+//! `0, 1, 2, …`.
 //!
 //! Records beyond the window park in a per-session pending queue and
 //! the session's read interest is dropped — TCP backpressure, counted
@@ -51,7 +52,7 @@ use crate::wire::{
     decode, encode, error_code, Message, ServeStats, WireConfig, WireCurve, WireError, HEADER_LEN,
     MAX_PAYLOAD,
 };
-use cps_engine::{EngineBox, EngineKind, EngineReport, HandleError, Policy};
+use cps_engine::{EngineReport, Policy, RepartitionEngine};
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -64,8 +65,6 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// The engine the server hosts.
     pub engine: cps_engine::EngineConfig,
-    /// Which engine variant to build.
-    pub kind: EngineKind,
     /// Number of tenants.
     pub tenants: usize,
     /// Session-table capacity; further connections are refused with
@@ -92,12 +91,12 @@ impl ServeConfig {
     /// in-process run.
     pub fn run_header(&self) -> RunHeader {
         RunHeader {
-            engine: self.kind.name().to_string(),
+            engine: "single".to_string(),
             tenants: self.tenants,
             units: self.engine.cache.units,
             bpu: self.engine.cache.blocks_per_unit,
             epoch_length: self.engine.epoch_length,
-            shards: self.kind.shards(),
+            shards: 1,
             policy: match self.engine.policy {
                 Policy::Optimal => "none",
                 Policy::EqualBaseline => "equal",
@@ -119,20 +118,16 @@ impl ServeConfig {
             ProfilerMode::Cumulative => 0.0,
         };
         WireConfig {
-            engine: match self.kind {
-                EngineKind::Single => 0,
-                EngineKind::Sharded { .. } => 1,
-                EngineKind::Queued { .. } => 2,
-            },
+            // The wire keeps the engine-kind, shard and queue fields of
+            // older protocol revisions; this server always hosts the
+            // single engine (kind 0, one shard, no queue).
+            engine: 0,
             tenants: self.tenants as u64,
             units: self.engine.cache.units as u64,
             bpu: self.engine.cache.blocks_per_unit as u64,
             epoch_length: self.engine.epoch_length as u64,
-            shards: self.kind.shards() as u64,
-            queue_cap: match self.kind {
-                EngineKind::Queued { queue_capacity, .. } => queue_capacity as u64,
-                _ => 0,
-            },
+            shards: 1,
+            queue_cap: 0,
             decay_bits: decay.to_bits(),
             hysteresis: self.engine.min_repartition_units as u64,
             policy: match self.engine.policy {
@@ -174,7 +169,6 @@ struct ServeMetrics {
     window_pauses: Counter,
     dropped_records: Counter,
     wakeups: Counter,
-    backpressure_nanos: Counter,
     frame_nanos: Histogram,
     batch_drain_nanos: Histogram,
 }
@@ -223,10 +217,6 @@ impl ServeMetrics {
             wakeups: registry.counter(
                 "cps_serve_wakeups_total",
                 "Pump-to-event-loop wake datagrams received",
-            ),
-            backpressure_nanos: registry.counter(
-                "cps_serve_backpressure_nanos_total",
-                "Nanoseconds ingest spent blocked on full shard queues",
             ),
             frame_nanos: registry.histogram(
                 "cps_serve_frame_nanos",
@@ -354,7 +344,7 @@ pub struct Server {
     listener: TcpListener,
     telemetry: Option<TcpListener>,
     shared: Arc<Shared>,
-    engine: EngineBox,
+    engine: RepartitionEngine,
     idle_timeout: Duration,
     resume_grace: Duration,
     max_conns: usize,
@@ -374,12 +364,8 @@ impl Server {
             Some(t) => Some(TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?),
             None => None,
         };
-        let engine = EngineBox::with_metrics(
-            config.kind,
-            config.engine.clone(),
-            config.tenants,
-            &registry,
-        );
+        let engine =
+            RepartitionEngine::with_metrics(config.engine.clone(), config.tenants, &registry);
         let metrics = ServeMetrics::register(&registry);
         let window_cap = config.window_cap.max(1);
         let shared = Arc::new(Shared {
@@ -1824,7 +1810,7 @@ fn complete_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
 /// The ingest pump: the engine's single owner. Feeds the contiguous
 /// prefix of the reorder ring in canonical order and executes control
 /// verbs at their watermarks, in FIFO order.
-fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
+fn pump_thread(shared: Arc<Shared>, mut engine: RepartitionEngine, wake: UdpSocket) {
     // The live-telemetry tap: each booked epoch renders to its journal
     // JSONL line and queues for the event loop to fan out to
     // observers. The hook fires on this thread (the epoch closes
@@ -1847,7 +1833,6 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
     }
     let mut engine = Some(engine);
     let mut batch: Vec<(usize, u64)> = Vec::with_capacity(PUMP_CHUNK);
-    let mut last_wait_nanos = 0u64;
     loop {
         batch.clear();
         let mut ctrl: Option<CtrlReq> = None;
@@ -1902,12 +1887,6 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
                     .batch_drain_nanos
                     .observe(started.elapsed().as_nanos() as u64);
                 shared.metrics.records.add(batch.len() as u64);
-                let wait = eng.ingest_wait_nanos();
-                shared
-                    .metrics
-                    .backpressure_nanos
-                    .add(wait.saturating_sub(last_wait_nanos));
-                last_wait_nanos = wait;
             } else {
                 // Post-shutdown stragglers (cannot normally happen —
                 // stopping is set with the same lock).
@@ -1940,7 +1919,7 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
 /// Executes one control verb against the engine.
 fn run_ctrl(
     shared: &Shared,
-    engine: &mut Option<EngineBox>,
+    engine: &mut Option<RepartitionEngine>,
     op: CtrlOp,
 ) -> Result<Message, (u64, String)> {
     let finished = || {
@@ -1966,7 +1945,7 @@ fn run_ctrl(
                     batches: counter("cps_serve_batches_total"),
                     records: counter("cps_serve_records_total"),
                     decode_errors: counter("cps_serve_decode_errors_total"),
-                    backpressure_nanos: counter("cps_serve_backpressure_nanos_total"),
+                    backpressure_nanos: 0,
                     epochs: engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
                 },
             })
@@ -1974,11 +1953,7 @@ fn run_ctrl(
         CtrlOp::Allocation => {
             let eng = engine.as_ref().ok_or_else(finished)?;
             Ok(Message::AllocationReply {
-                units: eng
-                    .allocation_units()
-                    .into_iter()
-                    .map(|u| u as u64)
-                    .collect(),
+                units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
             })
         }
         CtrlOp::Epoch => {
@@ -1994,7 +1969,7 @@ fn run_ctrl(
             let _ = trace; // Stamped on the epoch by the paired APPLY.
             let eng = engine.as_mut().ok_or_else(finished)?;
             let started = Instant::now();
-            let exported = eng.export_cost_curves().map_err(handle_refusal)?;
+            let exported = eng.export_epoch_curves();
             let profile_nanos = started.elapsed().as_nanos() as u64;
             let curves = exported
                 .iter()
@@ -2017,10 +1992,27 @@ fn run_ctrl(
             trace,
         } => {
             let eng = engine.as_mut().ok_or_else(finished)?;
+            // The engine panics on a malformed budget; refuse it here,
+            // at the trust boundary.
+            let (tenants, units) = (eng.tenants(), eng.config().cache.units);
+            if target.len() != tenants || target.iter().sum::<usize>() > units {
+                return Err((
+                    error_code::PROTOCOL,
+                    format!(
+                        "allocation must give one budget to each of {tenants} tenants \
+                         and fit {units} units"
+                    ),
+                ));
+            }
             let started = Instant::now();
             let actuation = eng
-                .apply_allocation(&target, predicted, (trace != 0).then_some(trace))
-                .map_err(handle_refusal)?;
+                .apply_external_allocation(Some(&target), predicted, (trace != 0).then_some(trace))
+                .ok_or_else(|| {
+                    (
+                        error_code::PROTOCOL,
+                        "no epoch boundary open (apply must follow an export)".to_string(),
+                    )
+                })?;
             let actuate_nanos = started.elapsed().as_nanos() as u64;
             Ok(Message::ApplyReply {
                 repartitioned: actuation.repartitioned,
@@ -2046,19 +2038,6 @@ fn run_ctrl(
             Ok(Message::ShutdownReply { journal })
         }
     }
-}
-
-/// Maps a refused control-plane operation to its typed wire error. The
-/// session ends after any of these — the coordinator's epoch state
-/// machine is broken and cannot resync.
-fn handle_refusal(e: HandleError) -> (u64, String) {
-    let code = match e {
-        HandleError::Finished => error_code::SHUTTING_DOWN,
-        HandleError::Unsupported { .. } => error_code::UNSUPPORTED,
-        HandleError::TenantOutOfRange { .. } => error_code::BAD_TENANT,
-        HandleError::BadAllocation { .. } | HandleError::NoOpenEpoch => error_code::PROTOCOL,
-    };
-    (code, e.to_string())
 }
 
 /// The lines of `snapshot_jsonl` that changed since the previous

@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 2] = [0x43, 0x53];
 /// frames, and the external-clocking verbs carry trace correlation —
 /// COST_CURVES/APPLY stamp a coordinator trace id, their replies
 /// return the node's profile/actuate nanoseconds as child-span
-/// timings. (Version 3 added the sharded serving path: resume tokens,
+/// timings. (Version 3 added the sequenced serving path: resume tokens,
 /// RESUME/RESUME_ACK, and sequenced BATCH_SEQ records; version 2
 /// introduced first-class objective specs.)
 pub const PROTOCOL_VERSION: u8 = 4;
@@ -68,8 +68,9 @@ pub mod error_code {
     pub const SHUTTING_DOWN: u64 = 4;
     /// The session sat idle past `--idle-timeout` and was torn down.
     pub const IDLE_TIMEOUT: u64 = 5;
-    /// The engine variant behind the server cannot perform the request
-    /// (e.g. externally clocked epochs on a sharded engine).
+    /// The engine variant behind the server cannot perform the request.
+    /// Sent only by older servers that hosted sharded engines, which
+    /// refused externally clocked epochs.
     pub const UNSUPPORTED: u64 = 6;
     /// The coordinator's objective spec does not match the objective
     /// the node's engine was built with.
@@ -193,7 +194,8 @@ impl WireError {
 /// of `cps bench-net`'s report-identity check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Engine kind code: 0 single, 1 sharded, 2 queued.
+    /// Engine kind code: 0 single. Older servers also announced
+    /// 1 (sharded) and 2 (queued), engines this build no longer has.
     pub engine: u8,
     /// Number of tenants.
     pub tenants: u64,
@@ -203,9 +205,9 @@ pub struct WireConfig {
     pub bpu: u64,
     /// Accesses per epoch.
     pub epoch_length: u64,
-    /// Stream shard count (1 for the single engine).
+    /// Stream shard count (always 1 from this build's server).
     pub shards: u64,
-    /// Per-shard queue capacity (0 unless the engine is queued).
+    /// Per-shard queue capacity (always 0 from this build's server).
     pub queue_cap: u64,
     /// Profiler decay as `f64::to_bits` (bit-exact transport).
     pub decay_bits: u64,
@@ -279,8 +281,9 @@ pub struct ServeStats {
     pub records: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
-    /// Nanoseconds clients spent blocked on ingest (handle lock plus
-    /// full queues).
+    /// Nanoseconds clients spent blocked on full ingest queues. Only
+    /// older servers' queued engines had such queues; this build's
+    /// server always reports 0.
     pub backpressure_nanos: u64,
     /// Epochs the engine has completed.
     pub epochs: u64,

@@ -5,7 +5,7 @@
 //! concurrent-session churn hygiene.
 
 use cps_core::CacheConfig;
-use cps_engine::{EngineConfig, EngineKind, RepartitionEngine};
+use cps_engine::{EngineConfig, RepartitionEngine};
 use cps_obs::{Journal, MetricsRegistry};
 use cps_serve::wire::{decode, encode, error_code, Message};
 use cps_serve::{
@@ -43,10 +43,9 @@ fn four_tenant_stream(len: usize, seed: u64) -> Vec<(u64, u64)> {
     co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect()
 }
 
-fn config(kind: EngineKind, tenants: usize) -> ServeConfig {
+fn config(tenants: usize) -> ServeConfig {
     ServeConfig {
         engine: EngineConfig::new(CacheConfig::new(32, 4), 2_000),
-        kind,
         tenants,
         max_conns: 8,
         idle_timeout: Duration::from_secs(5),
@@ -116,7 +115,7 @@ fn assert_identical(
 
 #[test]
 fn served_mux_run_is_report_identical_to_in_process() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -168,7 +167,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
 #[test]
 fn admission_refuses_bad_bindings_and_a_full_table() {
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(2);
     cfg.max_conns = 1;
     let (addr, server) = start(cfg);
 
@@ -198,7 +197,7 @@ fn admission_refuses_bad_bindings_and_a_full_table() {
 
 #[test]
 fn bound_sessions_may_not_speak_for_other_tenants() {
-    let (addr, server) = start(config(EngineKind::Single, 2));
+    let (addr, server) = start(config(2));
 
     let mut bound = Client::connect(&addr, Some(1)).expect("bound session");
     bound.push_batch(&[(1, 10), (0, 11)]).expect("send");
@@ -222,7 +221,7 @@ fn bound_sessions_may_not_speak_for_other_tenants() {
 
 #[test]
 fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(2);
     cfg.idle_timeout = Duration::from_millis(150);
     let (addr, server) = start(cfg);
 
@@ -246,7 +245,7 @@ fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
 fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     // A coordinator-shaped server: the internal epoch clock never
     // fires; every boundary is driven over the wire.
-    let mut cfg = config(EngineKind::Single, 4);
+    let mut cfg = config(4);
     cfg.engine = EngineConfig::new(CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -300,6 +299,18 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
         other => panic!("expected typed refusal, got {other:?}"),
     }
 
+    // An oversubscribed budget is refused at the wire, not a panic in
+    // the pump.
+    let mut bad = Client::connect(&addr, None).expect("reconnect");
+    bad.cost_curves("miss-ratio", 0).expect("export");
+    match bad.apply(&[30, 1, 1, 1], None, 0) {
+        Err(ServeError::Server { code, message }) => {
+            assert_eq!(code, error_code::PROTOCOL);
+            assert!(message.contains("fit 32 units"), "{message}");
+        }
+        other => panic!("expected typed refusal, got {other:?}"),
+    }
+
     let fresh = Client::connect(&addr, None).expect("reconnect");
     let journal = fresh.shutdown().expect("shutdown");
     assert!(journal.contains("\"kind\":\"run\""));
@@ -307,24 +318,8 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 }
 
 #[test]
-fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
-    let (addr, server) = start(config(EngineKind::Sharded { shards: 2 }, 2));
-    let mut client = Client::connect(&addr, None).expect("connect");
-    match client.cost_curves("miss-ratio", 0) {
-        Err(ServeError::Server { code, message }) => {
-            assert_eq!(code, error_code::UNSUPPORTED);
-            assert!(message.contains("does not support"), "{message}");
-        }
-        other => panic!("expected typed refusal, got {other:?}"),
-    }
-    let fresh = Client::connect(&addr, None).expect("reconnect");
-    fresh.shutdown().expect("shutdown");
-    server.join().unwrap().expect("server outcome");
-}
-
-#[test]
 fn sequenced_multi_connection_run_is_report_identical() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -353,7 +348,7 @@ fn sequenced_multi_connection_run_is_report_identical() {
 
 #[test]
 fn a_dropped_sequenced_session_resumes_without_losing_identity() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -413,7 +408,7 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
 #[test]
 fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(2);
     cfg.idle_timeout = Duration::from_millis(150);
     let (addr, server) = start(cfg);
 
@@ -461,7 +456,7 @@ fn thread_count() -> usize {
 
 #[test]
 fn concurrent_session_churn_leaves_no_residue() {
-    let mut cfg = config(EngineKind::Single, 4);
+    let mut cfg = config(4);
     cfg.max_conns = 32;
     cfg.resume_grace = Duration::from_millis(200);
     let header = cfg.run_header();
@@ -562,7 +557,7 @@ fn http_request(taddr: &str, request: &str) -> String {
 
 #[test]
 fn the_metrics_endpoint_speaks_prometheus_text_over_http() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(4);
     let (addr, taddr, server) = start_with_telemetry(cfg);
 
     let stream = four_tenant_stream(6_000, 11);
@@ -609,7 +604,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     use cps_obs::{parse_journal_line, JournalLine};
     use cps_serve::{Observer, ObserverEvent};
 
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);

@@ -98,6 +98,21 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let addr = format!("{host}:{port}");
     let mut client = Client::connect(&addr, None).map_err(|e| format!("connect {addr}: {e}"))?;
     let config = client.config();
+    match config.engine {
+        0 => {}
+        1 | 2 => {
+            return Err(format!(
+                "server at {addr} hosts a {} engine: it is an older daemon, and this \
+                 build can only rebuild the single engine for the identity check",
+                config.engine_name()
+            ))
+        }
+        other => {
+            return Err(format!(
+                "server at {addr} announced unknown engine kind {other}"
+            ))
+        }
+    }
     if trace_file.is_none() && config.tenants != k as u64 {
         return Err(format!(
             "server hosts {} tenants but --workloads names {k}; \
@@ -232,12 +247,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let accesses = stream.len() as f64;
     let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
     println!(
-        "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch}, {:.1}ns backpressure/record)",
-        "path",
-        "elapsed",
-        "Maccesses/s",
-        stats.batches,
-        stats.backpressure_nanos as f64 / accesses
+        "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch})",
+        "path", "elapsed", "Maccesses/s", stats.batches
     );
     println!(
         "{:<12} {:>10.1}ms {:>14.2}",
@@ -342,8 +353,8 @@ fn sender(addr: &str, records: &[(u64, u64, u64)], batch: usize, kill: bool) -> 
     Ok(())
 }
 
-/// Rebuilds the server's engine from its HELLO_ACK configuration and
-/// replays the stream locally.
+/// Rebuilds the server's single engine from its HELLO_ACK
+/// configuration and replays the stream locally.
 fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineReport, String> {
     let policy = match config.policy_name() {
         "none" => Policy::Optimal,
@@ -360,31 +371,9 @@ fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineRe
     .objective(objective)
     .decay(config.decay())
     .hysteresis(config.hysteresis as usize);
-    let tenants = config.tenants as usize;
-    let accesses = stream.iter().map(|&(t, b)| (t as usize, b));
-    Ok(match config.engine {
-        0 => {
-            let mut e = RepartitionEngine::new(cfg, tenants);
-            e.run(accesses);
-            e.finish()
-        }
-        1 => {
-            let mut e = ShardedEngine::new(cfg, tenants, config.shards as usize);
-            e.run(accesses);
-            e.finish()
-        }
-        2 => {
-            let mut e = QueuedShardedEngine::new(
-                cfg,
-                tenants,
-                config.shards as usize,
-                config.queue_cap as usize,
-            );
-            e.run(accesses);
-            e.finish()
-        }
-        other => return Err(format!("server announced unknown engine kind {other}")),
-    })
+    let mut engine = RepartitionEngine::new(cfg, config.tenants as usize);
+    engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
+    Ok(engine.finish())
 }
 
 /// The SUBSCRIBE rider: a read-only observer that stays attached for

@@ -49,6 +49,62 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
         }
     }
+
+    /// Refuses the flags of the removed sharded and queued engines.
+    /// Unknown flags are otherwise ignored, so `--shards 2` would run
+    /// the single engine without a word.
+    pub fn reject_removed_engine_flags(&self) -> Result<(), String> {
+        match ["shards", "ingest", "queue-cap"]
+            .into_iter()
+            .find(|k| self.get(k).is_some())
+        {
+            Some(k) => Err(format!(
+                "--{k} was removed with the sharded and queued engines; \
+                 drop it to run the single engine"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Parses the engine flags `replay-online` and `serve` share —
+/// `--units` (required), `--bpu`, `--epoch`, `--decay`, `--hysteresis`,
+/// `--objective` and `--baseline` — into an engine for `tenants`
+/// tenants.
+pub fn parse_engine_config(args: &Args, tenants: usize) -> Result<EngineConfig, String> {
+    let units: usize = args
+        .require("units")?
+        .parse()
+        .map_err(|_| "bad --units".to_string())?;
+    if units == 0 {
+        return Err("--units must be at least 1".into());
+    }
+    let bpu: usize = args.get_parse("bpu", 1)?;
+    if bpu == 0 {
+        return Err("--bpu must be at least 1".into());
+    }
+    let epoch: usize = args.get_parse("epoch", 10_000)?;
+    if epoch == 0 {
+        return Err("--epoch must be at least 1 access".into());
+    }
+    let decay: f64 = args.get_parse("decay", 0.5)?;
+    if !(0.0..1.0).contains(&decay) {
+        return Err(format!("--decay must lie in [0, 1), got {decay}"));
+    }
+    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
+    let objective = parse_objective(args)?;
+    validate_objective_for(&objective, tenants)?;
+    let policy = match args.get("baseline").unwrap_or("none") {
+        "none" => Policy::Optimal,
+        "equal" => Policy::EqualBaseline,
+        "natural" => Policy::NaturalBaseline,
+        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
+    };
+    Ok(EngineConfig::new(CacheConfig::new(units, bpu), epoch)
+        .policy(policy)
+        .objective(objective)
+        .decay(decay)
+        .hysteresis(hysteresis))
 }
 
 /// Writes `text` to `path`, or to stdout when `path` is `-`.
@@ -117,9 +173,7 @@ pub fn parse_workload(spec: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-/// The shared `--trace-*` reader flags, parsed once and reusable for a
-/// second pass over the same file (the sharded identity replay).
-#[derive(Clone)]
+/// The shared `--trace-*` reader flags.
 pub struct TraceInputOpts {
     /// `--trace-format`: `None` means sniff the file.
     pub format: Option<TraceFormat>,

@@ -91,16 +91,12 @@ USAGE:
                (per-phase optimal partitions from raw traces)
   cps replay-online --workloads SPEC,SPEC,... --units U [--bpu B]
                [--len N] [--epoch E] [--rates R,R,...] [--seed S]
-               [--decay D] [--hysteresis H] [--shards N]
-               [--ingest buffered|queued] [--queue-cap N]
+               [--decay D] [--hysteresis H]
                [--objective OBJ] [--baseline none|equal|natural]
                [--journal FILE] [--metrics-out FILE]
                | --trace-file FILE --tenants K --units U [TRACE FLAGS]
                (live epoch-driven repartitioning vs static-optimal and
-               free-for-all sharing; --shards replays the same stream
-               through the sharded engine and reports the speedup;
-               --ingest queued streams records through bounded per-shard
-               queues and reports backpressure; --journal writes the
+               free-for-all sharing; --journal writes the
                epoch event journal for `cps inspect`; --metrics-out
                writes a metrics snapshot, Prometheus text by default or
                JSONL if FILE ends in .jsonl; --trace-file streams an
@@ -108,8 +104,7 @@ USAGE:
                constant memory however large the file, baselines that
                need the whole stream skipped)
   cps serve    --tenants K --units U --port P|auto [--bpu B] [--epoch E]
-               [--decay D] [--hysteresis H] [--shards N]
-               [--ingest buffered|queued] [--queue-cap N]
+               [--decay D] [--hysteresis H]
                [--objective OBJ] [--baseline none|equal|natural]
                [--host H] [--max-conns N] [--idle-timeout SECS] [--proto V]
                [--window-cap N] [--resume-grace SECS]

@@ -1,37 +1,24 @@
 //! `cps replay-online` — replay an interleaved multi-tenant stream
 //! through the epoch-driven repartitioning engine, side by side with a
-//! static-optimal partition and free-for-all sharing, and optionally
-//! through the sharded engine (`--shards N`) to measure profiling
-//! speedup and check the shard-count-invariance guarantee.
+//! static-optimal partition and free-for-all sharing.
 //!
 //! `--journal PATH` writes the run's epoch event journal (the stable
 //! JSONL schema `cps inspect` consumes); `--metrics-out PATH` attaches
 //! a metrics registry to the run and writes a snapshot on exit —
 //! Prometheus text exposition by default, JSONL if PATH ends in
-//! `.jsonl` or is `-` (which streams the snapshot to stdout). Both
-//! describe the *observed* run: the sharded replay when `--shards` is
-//! given, otherwise the single-threaded engine.
+//! `.jsonl` or is `-` (which streams the snapshot to stdout).
 
 use crate::common::{
-    open_trace_source, parse_objective, parse_trace_opts, parse_workload, print_source_stats,
-    validate_objective_for, Args,
+    open_trace_source, parse_engine_config, parse_trace_opts, parse_workload, print_source_stats,
+    Args,
 };
+use cache_partition_sharing::engine::EpochRecord;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::TraceIoMetrics;
-use std::time::Instant;
-
-/// Which front end feeds the sharded engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum IngestMode {
-    /// Materialize each epoch, then slice it across shards.
-    Buffered,
-    /// Stream records through bounded per-shard queues while shard
-    /// workers profile and simulate concurrently.
-    Queued,
-}
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
+    args.reject_removed_engine_flags()?;
     if args.get("trace-file").is_some() {
         return run_trace_file(&args);
     }
@@ -44,58 +31,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Err("replay-online needs at least two comma-separated workloads".into());
     }
     let k = specs.len();
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let config = CacheConfig::new(units, bpu);
+    let engine_cfg = parse_engine_config(&args, k)?;
+    let config = engine_cfg.cache;
     let len: usize = args.get_parse("len", 200_000)?;
     if len == 0 {
         return Err("--len must be at least 1".into());
     }
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
     let seed: u64 = args.get_parse("seed", 0)?;
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let shards: Option<usize> = match args.get("shards") {
-        None => None,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag to \
-                            skip the sharded replay)"
-                    .into());
-            }
-            Some(n)
-        }
-    };
-    let ingest = match args.get("ingest").unwrap_or("buffered") {
-        "buffered" => IngestMode::Buffered,
-        "queued" => IngestMode::Queued,
-        other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-    };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
-    }
-    if ingest == IngestMode::Queued && shards.is_none() {
-        return Err("--ingest queued needs --shards N".into());
-    }
-    let journal_path = args.get("journal").map(str::to_string);
-    let metrics_path = args.get("metrics-out").map(str::to_string);
     let rates: Vec<f64> = match args.get("rates") {
         None => vec![1.0; k],
         Some(s) => {
@@ -109,15 +51,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             r
         }
     };
-    let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, k)?;
-    let objective_name = objective.name();
-    let policy = match args.get("baseline").unwrap_or("none") {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
 
     // One shared interleaved trace drives all three contenders.
     let traces: Vec<Trace> = specs
@@ -129,27 +62,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let co = interleave_proportional(&refs, &rates, len);
 
     // Online: the epoch-driven repartitioning engine.
-    let engine_cfg = EngineConfig::new(config, epoch)
-        .policy(policy)
-        .objective(objective.clone())
-        .decay(decay)
-        .hysteresis(hysteresis);
-    // Metrics instrument the observed run only — the sharded replay
-    // when --shards is given, otherwise the single engine — so the
-    // snapshot never mixes two runs' counters.
     let registry = MetricsRegistry::new();
-    let single_start = Instant::now();
-    let mut engine = if metrics_path.is_some() && shards.is_none() {
-        RepartitionEngine::with_metrics(engine_cfg.clone(), k, &registry)
-    } else {
-        RepartitionEngine::new(engine_cfg.clone(), k)
-    };
+    let mut engine = new_engine(&args, &engine_cfg, k, &registry);
     engine.run(co.tenant_accesses());
     let report = engine.finish();
-    let single_elapsed = single_start.elapsed();
 
     // Static-optimal: one offline DP solve over full-trace profiles,
     // then a fixed partition for the whole run.
+    let objective = &engine_cfg.objective;
     let total_acc: u64 = co.per_program.iter().sum();
     let profiles: Vec<SoloProfile> = (0..k)
         .map(|i| {
@@ -170,8 +90,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let mrcs: Vec<&MissRatioCurve> = profiles.iter().map(|p| &p.mrc).collect();
     let shares: Vec<f64> = profiles.iter().map(|p| p.access_rate).collect();
     let costs =
-        cache_partition_sharing::core::build_cost_curves(&mrcs, &config, &shares, &objective, None);
-    let static_alloc = optimal_partition(&costs, units, &objective)
+        cache_partition_sharing::core::build_cost_curves(&mrcs, &config, &shares, objective, None);
+    let static_alloc = optimal_partition(&costs, config.units, objective)
         .ok_or("static solve infeasible")?
         .allocation;
     let static_sizes: Vec<usize> = static_alloc.iter().map(|&u| config.to_blocks(u)).collect();
@@ -183,7 +103,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let mut shared_mr = Vec::new();
     let mut static_total = (0u64, 0u64); // (accesses, misses)
     let mut shared_total = (0u64, 0u64);
-    for chunk in co.accesses.chunks(epoch) {
+    for chunk in co.accesses.chunks(engine_cfg.epoch_length) {
         let (mut sa, mut sm, mut ha, mut hm) = (0u64, 0u64, 0u64, 0u64);
         for a in chunk {
             sa += 1;
@@ -198,33 +118,22 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "online repartitioning: {k} tenants, {} accesses, {units} x {bpu}-block units, \
-         epoch {epoch}, decay {decay}, hysteresis {hysteresis}, objective {objective_name}, \
-         policy {policy:?}",
-        co.len()
+        "online repartitioning: {k} tenants, {} accesses, {}",
+        co.len(),
+        describe(&engine_cfg)
     );
     println!(
         "{:<7} {:>9} {:>9} {:>9}  {:>6} {:>10}  allocation (units)",
         "epoch", "online", "static", "shared", "moved", "solve"
     );
     for (i, e) in report.epochs.iter().enumerate() {
-        let solve = if e.solve_nanos() > 0 {
-            format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
-        } else {
-            "-".to_string()
-        };
-        let mark = if e.repartitioned { "*" } else { " " };
-        let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
         println!(
-            "{:<7} {:>9.4} {:>9.4} {:>9.4}  {:>5}{} {:>10}  {}",
+            "{:<7} {:>9.4} {:>9.4} {:>9.4}  {}",
             e.epoch,
             e.miss_ratio(),
             static_mr.get(i).copied().unwrap_or(f64::NAN),
             shared_mr.get(i).copied().unwrap_or(f64::NAN),
-            e.units_moved,
-            mark,
-            solve,
-            alloc.join("/")
+            decision_columns(e)
         );
     }
     let static_cum = static_total.1 as f64 / static_total.0.max(1) as f64;
@@ -239,69 +148,15 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         "{} repartitions over {} epochs; mean DP solve {}",
         report.repartition_count(),
         report.epochs.len(),
-        match report.mean_solve_nanos() {
-            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
-            None => "n/a".to_string(),
-        }
+        mean_solve(&report)
     );
-
-    let sharded_report = match shards {
-        Some(shards) => Some(replay_sharded(
-            &co,
-            engine_cfg,
-            k,
-            shards,
-            ingest,
-            queue_cap,
-            &report,
-            single_elapsed,
-            metrics_path.is_some().then_some(&registry),
-        )?),
-        None => None,
-    };
-
-    // The journal and metrics snapshot describe the observed run.
-    let (engine_name, observed) = match (&sharded_report, ingest) {
-        (Some(r), IngestMode::Queued) => ("queued", r),
-        (Some(r), IngestMode::Buffered) => ("sharded", r),
-        (None, _) => ("single", &report),
-    };
-    if let Some(path) = &journal_path {
-        let header = RunHeader {
-            engine: engine_name.to_string(),
-            tenants: k,
-            units,
-            bpu,
-            epoch_length: epoch,
-            shards: shards.unwrap_or(1),
-            policy: args.get("baseline").unwrap_or("none").to_string(),
-            objective: objective_name.clone(),
-        };
-        write_journal(path, &header, observed)?;
-        println!(
-            "journal: {} epochs ({engine_name} engine) -> {path}",
-            observed.epochs.len()
-        );
-    }
-    if let Some(path) = &metrics_path {
-        let snapshot = registry.snapshot();
-        crate::common::write_text_out(
-            path,
-            &crate::common::render_metrics_snapshot(path, &snapshot),
-        )?;
-        if path != "-" {
-            println!("metrics: {} samples -> {path}", snapshot.samples.len());
-        }
-    }
-    Ok(())
+    write_outputs(&args, &engine_cfg, k, &report, &registry)
 }
 
 /// `--trace-file` mode: stream an external trace straight into the
 /// engine — no materialization, so the input may be arbitrarily large.
 /// The static-optimal and free-for-all baselines need the whole stream
-/// in memory and are skipped; `--shards N` streams the file a second
-/// time through the sharded engine and checks the allocation
-/// trajectories are identical.
+/// in memory and are skipped.
 fn run_trace_file(args: &Args) -> Result<(), String> {
     let path = args.require("trace-file")?;
     let k: usize = args
@@ -312,100 +167,28 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
     if k == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let config = CacheConfig::new(units, bpu);
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let shards: Option<usize> = match args.get("shards") {
-        None => None,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag to \
-                            skip the sharded replay)"
-                    .into());
-            }
-            Some(n)
-        }
-    };
-    let ingest = match args.get("ingest").unwrap_or("buffered") {
-        "buffered" => IngestMode::Buffered,
-        "queued" => IngestMode::Queued,
-        other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-    };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
-    }
-    if ingest == IngestMode::Queued && shards.is_none() {
-        return Err("--ingest queued needs --shards N".into());
-    }
-    let journal_path = args.get("journal").map(str::to_string);
-    let metrics_path = args.get("metrics-out").map(str::to_string);
-    let objective = parse_objective(args)?;
-    validate_objective_for(&objective, k)?;
-    let objective_name = objective.name();
-    let policy = match args.get("baseline").unwrap_or("none") {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
+    let engine_cfg = parse_engine_config(args, k)?;
     let opts = parse_trace_opts(args, k)?;
 
-    let engine_cfg = EngineConfig::new(config, epoch)
-        .policy(policy)
-        .objective(objective.clone())
-        .decay(decay)
-        .hysteresis(hysteresis);
     let registry = MetricsRegistry::new();
-    let io_metrics = metrics_path
-        .is_some()
-        .then(|| TraceIoMetrics::register(&registry));
-
-    // First pass: the single-threaded engine, streaming.
     let (mut source, format) = open_trace_source(path, &opts)?;
-    if let Some(m) = &io_metrics {
-        source = source.with_metrics(m.clone());
+    if args.get("metrics-out").is_some() {
+        source = source.with_metrics(TraceIoMetrics::register(&registry));
     }
-    let single_start = Instant::now();
-    let mut engine = if metrics_path.is_some() && shards.is_none() {
-        RepartitionEngine::with_metrics(engine_cfg.clone(), k, &registry)
-    } else {
-        RepartitionEngine::new(engine_cfg.clone(), k)
-    };
+    let mut engine = new_engine(args, &engine_cfg, k, &registry);
     let mut records = source.records();
     engine.run(records.by_ref());
     if let Some(e) = records.take_error() {
         return Err(format!("{path}: {e}"));
     }
     let report = engine.finish();
-    let single_elapsed = single_start.elapsed();
     let stats = source.stats();
 
     println!(
-        "online repartitioning: {k} tenants from {path} ({} format), {} accesses, \
-         {units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {hysteresis}, \
-         objective {objective_name}, policy {policy:?}",
+        "online repartitioning: {k} tenants from {path} ({} format), {} accesses, {}",
         format.name(),
-        stats.records
+        stats.records,
+        describe(&engine_cfg)
     );
     print_source_stats(&stats);
     println!("(static-optimal and free-for-all baselines need a materialized stream; skipped)");
@@ -414,21 +197,11 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
         "epoch", "online", "moved", "solve"
     );
     for e in &report.epochs {
-        let solve = if e.solve_nanos() > 0 {
-            format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
-        } else {
-            "-".to_string()
-        };
-        let mark = if e.repartitioned { "*" } else { " " };
-        let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
         println!(
-            "{:<7} {:>9.4}  {:>5}{} {:>10}  {}",
+            "{:<7} {:>9.4}  {}",
             e.epoch,
             e.miss_ratio(),
-            e.units_moved,
-            mark,
-            solve,
-            alloc.join("/")
+            decision_columns(e)
         );
     }
     println!(
@@ -436,126 +209,96 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
         report.cumulative_miss_ratio(),
         report.repartition_count(),
         report.epochs.len(),
-        match report.mean_solve_nanos() {
-            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
-            None => "n/a".to_string(),
-        }
+        mean_solve(&report)
     );
+    write_outputs(args, &engine_cfg, k, &report, &registry)
+}
 
-    // Second pass for --shards: stream the file again through the
-    // sharded engine and hold it to the single trajectory.
-    let sharded_report = match shards {
-        Some(shards) => {
-            let (mut source, _) = open_trace_source(path, &opts)?;
-            if let Some(m) = &io_metrics {
-                source = source.with_metrics(m.clone());
-            }
-            let sharded_start = Instant::now();
-            let sharded = {
-                let registry = metrics_path.is_some().then_some(&registry);
-                let mut records = source.records();
-                let sharded = match ingest {
-                    IngestMode::Buffered => {
-                        let mut engine = match registry {
-                            Some(r) => {
-                                ShardedEngine::with_metrics(engine_cfg.clone(), k, shards, r)
-                            }
-                            None => ShardedEngine::new(engine_cfg.clone(), k, shards),
-                        };
-                        engine.run(records.by_ref());
-                        engine.finish()
-                    }
-                    IngestMode::Queued => {
-                        let mut engine = match registry {
-                            Some(r) => QueuedShardedEngine::with_metrics(
-                                engine_cfg.clone(),
-                                k,
-                                shards,
-                                queue_cap,
-                                r,
-                            ),
-                            None => {
-                                QueuedShardedEngine::new(engine_cfg.clone(), k, shards, queue_cap)
-                            }
-                        };
-                        engine.run(records.by_ref());
-                        engine.finish()
-                    }
-                };
-                if let Some(e) = records.take_error() {
-                    return Err(format!("{path}: {e}"));
-                }
-                sharded
-            };
-            let sharded_elapsed = sharded_start.elapsed();
-            if sharded.epochs.len() != report.epochs.len() {
-                return Err(format!(
-                    "sharded engine produced {} epochs, single engine {}",
-                    sharded.epochs.len(),
-                    report.epochs.len()
-                ));
-            }
-            for (a, b) in report.epochs.iter().zip(&sharded.epochs) {
-                if a.allocation != b.allocation {
-                    return Err(format!(
-                        "sharded engine diverged at epoch {}: single {:?}, {shards} shards {:?}",
-                        a.epoch, a.allocation, b.allocation
-                    ));
-                }
-            }
-            let accesses = stats.records as f64;
-            let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
-            println!("\nsharded replay: same file, allocations identical across shard counts");
-            println!(
-                "{:<16} {:>12} {:>14} {:>9}",
-                "engine", "elapsed", "Maccesses/s", "speedup"
-            );
-            println!(
-                "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-                "single",
-                single_elapsed.as_secs_f64() * 1e3,
-                rate(single_elapsed),
-                1.0
-            );
-            let label = match ingest {
-                IngestMode::Buffered => format!("{shards}-shard"),
-                IngestMode::Queued => format!("{shards}-shard queued"),
-            };
-            println!(
-                "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-                label,
-                sharded_elapsed.as_secs_f64() * 1e3,
-                rate(sharded_elapsed),
-                single_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64().max(1e-12)
-            );
-            Some(sharded)
-        }
-        None => None,
-    };
+/// The engine, instrumented in `registry` when `--metrics-out` asks
+/// for a snapshot.
+fn new_engine(
+    args: &Args,
+    cfg: &EngineConfig,
+    tenants: usize,
+    registry: &MetricsRegistry,
+) -> RepartitionEngine {
+    if args.get("metrics-out").is_some() {
+        RepartitionEngine::with_metrics(cfg.clone(), tenants, registry)
+    } else {
+        RepartitionEngine::new(cfg.clone(), tenants)
+    }
+}
 
-    let (engine_name, observed) = match (&sharded_report, ingest) {
-        (Some(r), IngestMode::Queued) => ("queued", r),
-        (Some(r), IngestMode::Buffered) => ("sharded", r),
-        (None, _) => ("single", &report),
+/// The engine knobs, as the run banner prints them.
+fn describe(cfg: &EngineConfig) -> String {
+    let decay = match cfg.profiler {
+        ProfilerMode::Windowed { decay } => decay,
+        ProfilerMode::Cumulative => 0.0,
     };
-    if let Some(path) = &journal_path {
+    format!(
+        "{} x {}-block units, epoch {}, decay {decay}, hysteresis {}, objective {}, policy {:?}",
+        cfg.cache.units,
+        cfg.cache.blocks_per_unit,
+        cfg.epoch_length,
+        cfg.min_repartition_units,
+        cfg.objective.name(),
+        cfg.policy
+    )
+}
+
+/// The epoch table's moved / solve / allocation columns.
+fn decision_columns(e: &EpochRecord) -> String {
+    let solve = if e.solve_nanos() > 0 {
+        format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
+    } else {
+        "-".to_string()
+    };
+    let mark = if e.repartitioned { "*" } else { " " };
+    let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
+    format!(
+        "{:>5}{} {:>10}  {}",
+        e.units_moved,
+        mark,
+        solve,
+        alloc.join("/")
+    )
+}
+
+fn mean_solve(report: &EngineReport) -> String {
+    match report.mean_solve_nanos() {
+        Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
+        None => "n/a".to_string(),
+    }
+}
+
+/// Writes `--journal` (the stable line protocol `cps inspect`
+/// re-parses and cross-validates) and `--metrics-out`, when asked.
+fn write_outputs(
+    args: &Args,
+    cfg: &EngineConfig,
+    tenants: usize,
+    report: &EngineReport,
+    registry: &MetricsRegistry,
+) -> Result<(), String> {
+    if let Some(path) = args.get("journal") {
         let header = RunHeader {
-            engine: engine_name.to_string(),
-            tenants: k,
-            units,
-            bpu,
-            epoch_length: epoch,
-            shards: shards.unwrap_or(1),
+            engine: "single".to_string(),
+            tenants,
+            units: cfg.cache.units,
+            bpu: cfg.cache.blocks_per_unit,
+            epoch_length: cfg.epoch_length,
+            shards: 1,
             policy: args.get("baseline").unwrap_or("none").to_string(),
-            objective: objective_name.clone(),
+            objective: cfg.objective.name(),
         };
-        write_journal(path, &header, observed)?;
+        let journal = cache_partition_sharing::serve::render_journal(&header, report);
+        std::fs::write(path, journal).map_err(|e| format!("write {path}: {e}"))?;
         println!(
-            "journal: {} epochs ({engine_name} engine) -> {path}",
-            observed.epochs.len()
+            "journal: {} epochs (single engine) -> {path}",
+            report.epochs.len()
         );
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = args.get("metrics-out") {
         let snapshot = registry.snapshot();
         crate::common::write_text_out(
             path,
@@ -566,117 +309,4 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Writes the stable journal line protocol: the run header, one line
-/// per epoch (each tagged with the run objective), the summary. `cps
-/// inspect` re-parses and cross-validates every line against the
-/// header and summary.
-fn write_journal(path: &str, header: &RunHeader, report: &EngineReport) -> Result<(), String> {
-    let mut text = String::new();
-    text.push_str(&header.to_json_line());
-    text.push('\n');
-    for event in report.journal_events() {
-        text.push_str(&event.to_json_line());
-        text.push('\n');
-    }
-    text.push_str(&report.run_summary().to_json_line());
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
-}
-
-/// Replay the identical stream through the sharded engine (buffered or
-/// queued front end) and report throughput against the single-threaded
-/// engine. The sharded engine must reproduce the single engine's
-/// allocation trajectory exactly; a divergence is an engine bug and is
-/// reported as an error. Returns the sharded report so the caller can
-/// journal it.
-#[allow(clippy::too_many_arguments)]
-fn replay_sharded(
-    co: &cache_partition_sharing::trace::CoTrace,
-    engine_cfg: EngineConfig,
-    tenants: usize,
-    shards: usize,
-    ingest: IngestMode,
-    queue_cap: usize,
-    single: &EngineReport,
-    single_elapsed: std::time::Duration,
-    registry: Option<&MetricsRegistry>,
-) -> Result<EngineReport, String> {
-    let sharded_start = Instant::now();
-    let sharded = match ingest {
-        IngestMode::Buffered => {
-            let mut engine = match registry {
-                Some(r) => ShardedEngine::with_metrics(engine_cfg, tenants, shards, r),
-                None => ShardedEngine::new(engine_cfg, tenants, shards),
-            };
-            engine.run(co.tenant_accesses());
-            engine.finish()
-        }
-        IngestMode::Queued => {
-            let mut engine = match registry {
-                Some(r) => {
-                    QueuedShardedEngine::with_metrics(engine_cfg, tenants, shards, queue_cap, r)
-                }
-                None => QueuedShardedEngine::new(engine_cfg, tenants, shards, queue_cap),
-            };
-            engine.run(co.tenant_accesses());
-            engine.finish()
-        }
-    };
-    let sharded_elapsed = sharded_start.elapsed();
-
-    if sharded.epochs.len() != single.epochs.len() {
-        return Err(format!(
-            "sharded engine produced {} epochs, single engine {}",
-            sharded.epochs.len(),
-            single.epochs.len()
-        ));
-    }
-    for (a, b) in single.epochs.iter().zip(&sharded.epochs) {
-        if a.allocation != b.allocation {
-            return Err(format!(
-                "sharded engine diverged at epoch {}: single {:?}, {shards} shards {:?}",
-                a.epoch, a.allocation, b.allocation
-            ));
-        }
-    }
-
-    let accesses = co.len() as f64;
-    let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
-    println!("\nsharded replay: same stream, allocations identical across shard counts");
-    println!(
-        "{:<16} {:>12} {:>14} {:>9}",
-        "engine", "elapsed", "Maccesses/s", "speedup"
-    );
-    println!(
-        "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-        "single",
-        single_elapsed.as_secs_f64() * 1e3,
-        rate(single_elapsed),
-        1.0
-    );
-    let label = match ingest {
-        IngestMode::Buffered => format!("{shards}-shard"),
-        IngestMode::Queued => format!("{shards}-shard queued"),
-    };
-    println!(
-        "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-        label,
-        sharded_elapsed.as_secs_f64() * 1e3,
-        rate(sharded_elapsed),
-        single_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64().max(1e-12)
-    );
-    if let Some(stats) = &sharded.ingest {
-        println!(
-            "ingest backpressure: {} records pushed through {}-deep queues, \
-             {} blocked pushes ({:.1}%), {:.1}ms waiting",
-            stats.pushed,
-            stats.capacity,
-            stats.blocked_pushes,
-            stats.blocked_fraction() * 100.0,
-            stats.wait_nanos as f64 / 1e6
-        );
-    }
-    Ok(sharded)
 }

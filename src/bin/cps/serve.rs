@@ -13,10 +13,7 @@
 //! writes the bound `host:port` so scripts (and the CI smoke leg) can
 //! find the daemon without racing its stdout.
 
-use crate::common::{
-    parse_objective, render_metrics_snapshot, validate_objective_for, write_text_out, Args,
-};
-use cache_partition_sharing::engine::EngineKind;
+use crate::common::{parse_engine_config, render_metrics_snapshot, write_text_out, Args};
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::serve::{ServeConfig, Server, PROTOCOL_VERSION};
 use std::sync::Arc;
@@ -24,6 +21,7 @@ use std::time::Duration;
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
+    args.reject_removed_engine_flags()?;
     let tenants: usize = args
         .require("tenants")?
         .parse()
@@ -31,57 +29,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if tenants == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, tenants)?;
-    let policy = match args.get("baseline").unwrap_or("none") {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
-    }
-    let kind = match args.get("shards") {
-        None => EngineKind::Single,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag for \
-                            the single-threaded engine)"
-                    .into());
-            }
-            match args.get("ingest").unwrap_or("buffered") {
-                "buffered" => EngineKind::Sharded { shards: n },
-                "queued" => EngineKind::Queued {
-                    shards: n,
-                    queue_capacity: queue_cap,
-                },
-                other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-            }
-        }
-    };
+    let engine_cfg = parse_engine_config(&args, tenants)?;
 
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port = match args.require("port")? {
@@ -143,14 +91,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             .into());
     }
 
-    let engine_cfg = EngineConfig::new(CacheConfig::new(units, bpu), epoch)
-        .policy(policy)
-        .objective(objective)
-        .decay(decay)
-        .hysteresis(hysteresis);
+    let (units, bpu, epoch) = (
+        engine_cfg.cache.units,
+        engine_cfg.cache.blocks_per_unit,
+        engine_cfg.epoch_length,
+    );
     let config = ServeConfig {
         engine: engine_cfg,
-        kind,
         tenants,
         max_conns,
         idle_timeout: Duration::from_secs(idle_secs),
@@ -172,10 +119,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         write_text_out(path, &format!("{taddr}\n"))?;
     }
     println!(
-        "cps serve: listening on {addr} ({} engine, {tenants} tenants, \
+        "cps serve: listening on {addr} (single engine, {tenants} tenants, \
          {units} x {bpu}-block units, epoch {epoch}, max {max_conns} sessions, \
-         idle timeout {idle_secs}s)",
-        kind.name()
+         idle timeout {idle_secs}s)"
     );
     if let Some(taddr) = server.telemetry_addr() {
         println!("cps serve: telemetry on http://{taddr}/metrics");
@@ -193,9 +139,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if let Some(path) = &journal_path {
         write_text_out(path, &outcome.journal)?;
         println!(
-            "journal: {} epochs ({} engine) -> {path}",
-            outcome.report.epochs.len(),
-            kind.name()
+            "journal: {} epochs (single engine) -> {path}",
+            outcome.report.epochs.len()
         );
     }
     if let Some(path) = &metrics_path {

@@ -334,62 +334,6 @@ fn phase_plan_tracks_alternating_working_sets() {
 }
 
 #[test]
-fn replay_online_sharded_reports_speedup_and_stays_deterministic() {
-    let dir = tempdir("sharded");
-    let s = stdout(&cps(
-        &[
-            "replay-online",
-            "--workloads",
-            "loop:40,zipf:200:0.8",
-            "--units",
-            "64",
-            "--len",
-            "20000",
-            "--epoch",
-            "5000",
-            "--shards",
-            "3",
-        ],
-        &dir,
-    ));
-    assert!(s.contains("cumulative miss ratio"), "{s}");
-    // The sharded section appears, with both rows and the identity check.
-    assert!(s.contains("allocations identical"), "{s}");
-    assert!(s.contains("3-shard"), "{s}");
-    assert!(s.contains("speedup"), "{s}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn replay_online_queued_ingest_reports_backpressure() {
-    let dir = tempdir("queued");
-    let s = stdout(&cps(
-        &[
-            "replay-online",
-            "--workloads",
-            "loop:40,zipf:200:0.8",
-            "--units",
-            "64",
-            "--len",
-            "12000",
-            "--epoch",
-            "4000",
-            "--shards",
-            "2",
-            "--ingest",
-            "queued",
-            "--queue-cap",
-            "8",
-        ],
-        &dir,
-    ));
-    assert!(s.contains("2-shard queued"), "{s}");
-    assert!(s.contains("ingest backpressure"), "{s}");
-    assert!(s.contains("8-deep queues"), "{s}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn replay_online_rejects_degenerate_knobs_with_friendly_errors() {
     let dir = tempdir("degenerate");
     let base = [
@@ -399,15 +343,7 @@ fn replay_online_rejects_degenerate_knobs_with_friendly_errors() {
         "--units",
         "32",
     ];
-    let degenerate: &[&[&str]] = &[
-        &["--shards", "0"],
-        &["--epoch", "0"],
-        &["--units", "0"],
-        &["--len", "0"],
-        &["--shards", "2", "--ingest", "queued", "--queue-cap", "0"],
-        &["--ingest", "queued"], // queued needs --shards
-        &["--ingest", "bogus"],
-    ];
+    let degenerate: &[&[&str]] = &[&["--epoch", "0"], &["--units", "0"], &["--len", "0"]];
     for extra in degenerate {
         let args: Vec<&str> = base.iter().chain(extra.iter()).copied().collect();
         let out = cps(&args, &dir);
@@ -420,6 +356,24 @@ fn replay_online_rejects_degenerate_knobs_with_friendly_errors() {
         assert!(
             !stderr.contains("panicked"),
             "{extra:?} must not panic:\n{stderr}"
+        );
+    }
+    // The sharded and queued engines' flags are refused by name, not
+    // ignored (a silently ignored `--shards 2` would run the single
+    // engine under a false label).
+    for (flag, value) in [
+        ("--shards", "2"),
+        ("--ingest", "queued"),
+        ("--queue-cap", "64"),
+    ] {
+        let args: Vec<&str> = base.iter().copied().chain([flag, value]).collect();
+        let out = cps(&args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} should fail:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("cps: {flag} was removed")),
+            "{flag} should name its removal:\n{stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -447,12 +401,6 @@ fn replay_online_journal_round_trips_through_inspect() {
             "5000",
             "--seed",
             "7",
-            "--shards",
-            "2",
-            "--ingest",
-            "queued",
-            "--queue-cap",
-            "16",
             "--journal",
             "run.jsonl",
             "--metrics-out",
@@ -460,22 +408,18 @@ fn replay_online_journal_round_trips_through_inspect() {
         ],
         &dir,
     ));
-    assert!(s.contains("journal: 4 epochs (queued engine)"), "{s}");
+    assert!(s.contains("journal: 4 epochs (single engine)"), "{s}");
     assert!(s.contains("metrics:"), "{s}");
 
     // `cps inspect` accepts it and prints every section.
     let s = stdout(&cps(&["inspect", "run.jsonl"], &dir));
-    assert!(s.contains("journal OK: queued engine"), "{s}");
+    assert!(s.contains("journal OK: single engine"), "{s}");
     assert!(s.contains("stage time breakdown"), "{s}");
     assert!(s.contains("allocation churn"), "{s}");
     assert!(s.contains("tenant miss-ratio trajectories"), "{s}");
-    assert!(s.contains("ingest backpressure"), "{s}");
 
     // Parse the journal in-process and replay the identical stream
     // through the engine: totals and trajectory must match exactly.
-    // The comparator is the buffered 2-shard engine — report-identical
-    // to the queued run the journal describes (realized hit counts are
-    // shard-layout-dependent, so a single-engine run would not match).
     let text = std::fs::read_to_string(dir.join("run.jsonl")).unwrap();
     let journal = Journal::parse(&text).expect("journal validates");
     let traces = [
@@ -493,13 +437,13 @@ fn replay_online_journal_round_trips_through_inspect() {
         .objective(Objective::MissRatioSum)
         .decay(0.5)
         .hysteresis(1);
-    let mut engine = ShardedEngine::new(cfg, 2, 2);
+    let mut engine = RepartitionEngine::new(cfg, 2);
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
     assert_eq!(journal.header.tenants, 2);
     assert_eq!(journal.header.units, 64);
-    assert_eq!(journal.header.shards, 2);
+    assert_eq!(journal.header.shards, 1);
     assert_eq!(journal.epochs.len(), report.epochs.len());
     assert_eq!(
         journal.summary.accesses,
@@ -516,7 +460,6 @@ fn replay_online_journal_round_trips_through_inspect() {
         let misses: Vec<u64> = re.per_tenant.iter().map(|c| c.misses).collect();
         assert_eq!(je.accesses, accesses, "epoch {}", re.epoch);
         assert_eq!(je.misses, misses, "epoch {}", re.epoch);
-        assert!(je.backpressure.is_some(), "queued runs journal deltas");
     }
 
     // The Prometheus snapshot counted the same stream.
@@ -823,9 +766,37 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
                 "--port",
                 "auto",
                 "--shards",
-                "0",
+                "2",
             ],
-            "--shards",
+            "--shards was removed",
+        ),
+        (
+            &[
+                "serve",
+                "--tenants",
+                "2",
+                "--units",
+                "32",
+                "--port",
+                "auto",
+                "--ingest",
+                "queued",
+            ],
+            "--ingest was removed",
+        ),
+        (
+            &[
+                "serve",
+                "--tenants",
+                "2",
+                "--units",
+                "32",
+                "--port",
+                "auto",
+                "--queue-cap",
+                "64",
+            ],
+            "--queue-cap was removed",
         ),
         (
             &[
@@ -880,6 +851,62 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
         assert!(
             !stderr.contains("panicked"),
             "{args:?} must not panic:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon from before the sharded and queued engines were removed
+/// announces engine kind 1 or 2 in HELLO_ACK. bench-net cannot rebuild
+/// either, so it must name the kind and fail, not fall back to another
+/// engine.
+#[test]
+fn bench_net_refuses_older_sharded_and_queued_daemons() {
+    use cache_partition_sharing::serve::wire::{read_message, write_message, WireConfig};
+    use cache_partition_sharing::serve::Message;
+
+    let dir = tempdir("older-daemon");
+    for (engine, name) in [(1u8, "sharded"), (2, "queued")] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port().to_string();
+        let daemon = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            assert!(matches!(read_message(&mut conn), Ok(Message::Hello { .. })));
+            let config = WireConfig {
+                engine,
+                tenants: 2,
+                units: 32,
+                bpu: 1,
+                epoch_length: 1_000,
+                shards: 2,
+                queue_cap: if engine == 2 { 64 } else { 0 },
+                decay_bits: 0.5f64.to_bits(),
+                hysteresis: 1,
+                policy: 0,
+                objective: "miss-ratio".to_string(),
+            };
+            write_message(&mut conn, &Message::HelloAck { config, token: 1 }).unwrap();
+            // Hold the session until the client hangs up.
+            let _ = read_message(&mut conn);
+        });
+        let out = cps(
+            &[
+                "bench-net",
+                "--workloads",
+                "loop:4,loop:8",
+                "--port",
+                &port,
+                "--len",
+                "100",
+            ],
+            &dir,
+        );
+        daemon.join().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name} daemon accepted:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("hosts a {name} engine")) && stderr.contains("older daemon"),
+            "{name}: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
