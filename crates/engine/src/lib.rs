@@ -44,10 +44,7 @@ pub use actuate::{units_moved, Actuation, CacheActuator, HysteresisActuator};
 pub use profile::{default_profilers, window_solo_profiles, TenantProfiler};
 pub use report::{weighted_miss_ratio, EngineReport, EpochRecord};
 pub use solve::{DpPartitionSolver, PartitionSolver, SolveInput, SolveOutcome};
-// The observability vocabulary every engine record speaks, plus the
-// profiler-mode knob downstream crates (cps-serve) need to describe an
-// engine without depending on cps-hotl directly.
-pub use cps_hotl::windowed::ProfilerMode;
+// The observability vocabulary every engine record speaks.
 pub use cps_obs::{MetricsRegistry, Stage, StageTimings};
 // `Block` appears in every `record_access`/`run` signature; re-export
 // it so callers (cps-cluster) can name it without a cps-trace edge.
@@ -117,8 +114,9 @@ pub struct EngineConfig {
     pub policy: Policy,
     /// The partitioning objective (cost construction + accumulation).
     pub objective: Objective,
-    /// Per-tenant profiler mode (cumulative or windowed with decay).
-    pub profiler: ProfilerMode,
+    /// Per-tenant profiler decay: the weight each window boundary puts
+    /// on the previous blended curve (`0.0..1.0`).
+    pub decay: f64,
     /// Minimum units that must move before a new allocation is applied;
     /// `1` applies every change, larger values add hysteresis.
     pub min_repartition_units: usize,
@@ -137,7 +135,7 @@ impl EngineConfig {
             epoch_length,
             policy: Policy::Optimal,
             objective: Objective::MissRatioSum,
-            profiler: ProfilerMode::Windowed { decay: 0.5 },
+            decay: 0.5,
             min_repartition_units: 1,
         }
     }
@@ -154,16 +152,10 @@ impl EngineConfig {
         self
     }
 
-    /// Uses windowed profiling with the given decay (see
-    /// [`ProfilerMode::Windowed`]).
+    /// Sets the profiler decay (see
+    /// [`WindowedProfiler`](cps_hotl::windowed::WindowedProfiler)).
     pub fn decay(mut self, decay: f64) -> Self {
-        self.profiler = ProfilerMode::Windowed { decay };
-        self
-    }
-
-    /// Uses cumulative (never-reset) profiling.
-    pub fn cumulative(mut self) -> Self {
-        self.profiler = ProfilerMode::Cumulative;
+        self.decay = decay;
         self
     }
 

@@ -65,13 +65,11 @@ impl TenantProfiler for WindowedProfiler {
 }
 
 /// The default profile stage: one [`WindowedProfiler`] per tenant,
-/// sampled out to the full cache size, in the config's profiler mode.
+/// sampled out to the full cache size, with the config's decay.
 pub fn default_profilers(config: &EngineConfig, tenants: usize) -> Vec<Box<dyn TenantProfiler>> {
     let blocks = config.cache.blocks();
     (0..tenants)
-        .map(|_| {
-            Box::new(WindowedProfiler::new(blocks, config.profiler)) as Box<dyn TenantProfiler>
-        })
+        .map(|_| Box::new(WindowedProfiler::new(blocks, config.decay)) as Box<dyn TenantProfiler>)
         .collect()
 }
 
@@ -107,14 +105,13 @@ pub fn window_solo_profiles(
 mod tests {
     use super::*;
     use cps_core::CacheConfig;
-    use cps_hotl::windowed::ProfilerMode;
 
     #[test]
     fn default_stage_matches_config_geometry_and_mode() {
         let cfg = EngineConfig::new(CacheConfig::new(16, 2), 100).decay(0.25);
         let profilers = default_profilers(&cfg, 3);
         assert_eq!(profilers.len(), 3);
-        let mut p = WindowedProfiler::new(32, ProfilerMode::Windowed { decay: 0.25 });
+        let mut p = WindowedProfiler::new(32, 0.25);
         let mut boxed = profilers;
         for b in [1u64, 2, 1, 3] {
             p.observe(b);

@@ -45,4 +45,4 @@ pub use footprint::Footprint;
 pub use metrics::{MissRatioCurve, SoloProfile};
 pub use reuse::ReuseProfile;
 pub use sampling::{sample_footprint, sample_reuse, BurstConfig};
-pub use windowed::{ProfilerMode, WindowedProfiler};
+pub use windowed::WindowedProfiler;

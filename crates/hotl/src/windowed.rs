@@ -13,9 +13,7 @@
 //! ```
 //!
 //! With `decay = 0` only the latest window matters; as `decay → 1`
-//! history dominates. In [`ProfilerMode::Cumulative`] the window is never
-//! reset and the blended curve is simply the lifetime curve — the
-//! asymptotically exact choice for stationary workloads.
+//! history dominates.
 //!
 //! Within a window the profiler is exact: [`WindowedProfiler::window_reuse`]
 //! equals the batch [`ReuseProfile`] of the accesses observed since the
@@ -27,26 +25,13 @@ use crate::online::OnlineProfiler;
 use crate::reuse::ReuseProfile;
 use cps_trace::Block;
 
-/// How a [`WindowedProfiler`] weighs history at window boundaries.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProfilerMode {
-    /// Never reset: the blended curve is the lifetime curve.
-    Cumulative,
-    /// Reset each window and EWMA-blend curves with weight `decay` on
-    /// history (`0.0..1.0`).
-    Windowed {
-        /// Weight on the previous blended curve; `0` forgets instantly.
-        decay: f64,
-    },
-}
-
 /// Streaming per-tenant profiler with epoch windows and decay.
 ///
 /// # Examples
 ///
 /// ```
-/// use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
-/// let mut p = WindowedProfiler::new(64, ProfilerMode::Windowed { decay: 0.5 });
+/// use cps_hotl::windowed::WindowedProfiler;
+/// let mut p = WindowedProfiler::new(64, 0.5);
 /// for i in 0..5_000u64 {
 ///     p.observe(i % 20);
 /// }
@@ -56,7 +41,8 @@ pub enum ProfilerMode {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WindowedProfiler {
-    mode: ProfilerMode,
+    /// Weight on the previous blended curve; `0` forgets instantly.
+    decay: f64,
     max_blocks: usize,
     window: OnlineProfiler,
     blended: Option<Vec<f64>>,
@@ -64,29 +50,24 @@ pub struct WindowedProfiler {
 }
 
 impl WindowedProfiler {
-    /// Creates a profiler whose curves are sampled at `0..=max_blocks`.
+    /// Creates a profiler whose curves are sampled at `0..=max_blocks`,
+    /// blending each window into history with weight `decay` on the
+    /// previous blended curve.
     ///
     /// # Panics
-    /// Panics if a windowed `decay` is outside `[0, 1)`.
-    pub fn new(max_blocks: usize, mode: ProfilerMode) -> Self {
-        if let ProfilerMode::Windowed { decay } = mode {
-            assert!(
-                (0.0..1.0).contains(&decay),
-                "decay must lie in [0, 1), got {decay}"
-            );
-        }
+    /// Panics if `decay` is outside `[0, 1)`.
+    pub fn new(max_blocks: usize, decay: f64) -> Self {
+        assert!(
+            (0.0..1.0).contains(&decay),
+            "decay must lie in [0, 1), got {decay}"
+        );
         WindowedProfiler {
-            mode,
+            decay,
             max_blocks,
             window: OnlineProfiler::new(),
             blended: None,
             windows_ended: 0,
         }
-    }
-
-    /// The profiler's mode.
-    pub fn mode(&self) -> ProfilerMode {
-        self.mode
     }
 
     /// Largest sampled cache size.
@@ -115,8 +96,7 @@ impl WindowedProfiler {
         self.window.absorb(chunk);
     }
 
-    /// Accesses observed since the last window boundary (lifetime count
-    /// in cumulative mode).
+    /// Accesses observed since the last window boundary.
     pub fn window_accesses(&self) -> usize {
         self.window.accesses()
     }
@@ -133,7 +113,7 @@ impl WindowedProfiler {
     }
 
     /// Ends the current window: folds its miss-ratio curve into the
-    /// blended estimate and (in windowed mode) resets the window.
+    /// blended estimate and resets the window.
     ///
     /// Returns the updated blended curve, or `None` if nothing has ever
     /// been observed. An *empty* window leaves the previous blend
@@ -143,22 +123,16 @@ impl WindowedProfiler {
         if self.window.accesses() > 0 {
             let fp = Footprint::from_reuse(&self.window.snapshot_reuse());
             let current = MissRatioCurve::from_footprint(&fp, self.max_blocks);
-            match (self.mode, &mut self.blended) {
-                (ProfilerMode::Cumulative, slot) => {
-                    *slot = Some(current.samples().to_vec());
-                }
-                (ProfilerMode::Windowed { .. }, slot @ None) => {
-                    *slot = Some(current.samples().to_vec());
-                }
-                (ProfilerMode::Windowed { decay }, Some(prev)) => {
+            match &mut self.blended {
+                None => self.blended = Some(current.samples().to_vec()),
+                Some(prev) => {
+                    let decay = self.decay;
                     for (p, &c) in prev.iter_mut().zip(current.samples()) {
                         *p = decay * *p + (1.0 - decay) * c;
                     }
                 }
             }
-            if let ProfilerMode::Windowed { .. } = self.mode {
-                self.window.reset();
-            }
+            self.window.reset();
         }
         self.windows_ended += 1;
         self.mrc()
@@ -186,29 +160,10 @@ mod tests {
     use cps_trace::WorkloadSpec;
 
     #[test]
-    fn cumulative_blend_is_lifetime_curve() {
-        let trace = WorkloadSpec::Zipfian {
-            region: 60,
-            alpha: 0.8,
-        }
-        .generate(4_000, 3);
-        let mut p = WindowedProfiler::new(80, ProfilerMode::Cumulative);
-        let mut whole = OnlineProfiler::new();
-        for chunk in trace.blocks.chunks(1_000) {
-            p.observe_all(chunk);
-            whole.observe_all(chunk);
-            let blended = p.end_window().expect("non-empty");
-            let exact = MissRatioCurve::from_footprint(&whole.snapshot_footprint(), 80);
-            assert_eq!(blended.samples(), exact.samples());
-        }
-        assert_eq!(p.windows_ended(), 4);
-    }
-
-    #[test]
     fn zero_decay_tracks_only_latest_window() {
         let small = WorkloadSpec::SequentialLoop { working_set: 10 }.generate(3_000, 1);
         let large = WorkloadSpec::SequentialLoop { working_set: 100 }.generate(3_000, 2);
-        let mut p = WindowedProfiler::new(128, ProfilerMode::Windowed { decay: 0.0 });
+        let mut p = WindowedProfiler::new(128, 0.0);
         p.observe_all(&small.blocks);
         let m1 = p.end_window().unwrap();
         assert!(m1.at(64) < 0.05, "phase 1 fits in 64");
@@ -221,7 +176,7 @@ mod tests {
     fn high_decay_remembers_history() {
         let small = WorkloadSpec::SequentialLoop { working_set: 10 }.generate(3_000, 1);
         let large = WorkloadSpec::SequentialLoop { working_set: 100 }.generate(3_000, 2);
-        let mut p = WindowedProfiler::new(128, ProfilerMode::Windowed { decay: 0.9 });
+        let mut p = WindowedProfiler::new(128, 0.9);
         p.observe_all(&small.blocks);
         p.end_window();
         p.observe_all(&large.blocks);
@@ -234,7 +189,7 @@ mod tests {
     #[test]
     fn empty_window_preserves_blend() {
         let trace = WorkloadSpec::SequentialLoop { working_set: 10 }.generate(1_000, 1);
-        let mut p = WindowedProfiler::new(32, ProfilerMode::Windowed { decay: 0.5 });
+        let mut p = WindowedProfiler::new(32, 0.5);
         p.observe_all(&trace.blocks);
         let before = p.end_window().unwrap();
         let after = p.end_window().expect("blend survives an idle window");
@@ -243,7 +198,7 @@ mod tests {
 
     #[test]
     fn no_curve_before_first_data() {
-        let mut p = WindowedProfiler::new(16, ProfilerMode::Windowed { decay: 0.3 });
+        let mut p = WindowedProfiler::new(16, 0.3);
         assert!(p.mrc().is_none());
         assert!(p.end_window().is_none(), "empty first window yields None");
         p.observe(1);
@@ -255,7 +210,7 @@ mod tests {
         // Convex combinations of monotone [0,1] curves remain so.
         let a = WorkloadSpec::UniformRandom { region: 50 }.generate(2_000, 4);
         let b = WorkloadSpec::SequentialLoop { working_set: 25 }.generate(2_000, 5);
-        let mut p = WindowedProfiler::new(64, ProfilerMode::Windowed { decay: 0.6 });
+        let mut p = WindowedProfiler::new(64, 0.6);
         p.observe_all(&a.blocks);
         p.end_window();
         p.observe_all(&b.blocks);
@@ -269,7 +224,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "decay must lie in [0, 1)")]
     fn decay_of_one_rejected() {
-        let _ = WindowedProfiler::new(8, ProfilerMode::Windowed { decay: 1.0 });
+        let _ = WindowedProfiler::new(8, 1.0);
     }
 
     #[test]
@@ -283,23 +238,18 @@ mod tests {
         }
         .generate(3_000, 21);
         let e2 = WorkloadSpec::SequentialLoop { working_set: 40 }.generate(3_000, 22);
-        for mode in [
-            ProfilerMode::Windowed { decay: 0.5 },
-            ProfilerMode::Cumulative,
-        ] {
-            let mut direct = WindowedProfiler::new(128, mode);
-            let mut sharded = WindowedProfiler::new(128, mode);
-            for epoch in [&e1.blocks, &e2.blocks] {
-                direct.observe_all(epoch);
-                for chunk in epoch.chunks(1_000) {
-                    let mut seg = OnlineProfiler::new();
-                    seg.observe_all(chunk);
-                    sharded.absorb_window(&seg);
-                }
-                let a = direct.end_window().unwrap();
-                let b = sharded.end_window().unwrap();
-                assert_eq!(a.samples(), b.samples(), "{mode:?}");
+        let mut direct = WindowedProfiler::new(128, 0.5);
+        let mut sharded = WindowedProfiler::new(128, 0.5);
+        for epoch in [&e1.blocks, &e2.blocks] {
+            direct.observe_all(epoch);
+            for chunk in epoch.chunks(1_000) {
+                let mut seg = OnlineProfiler::new();
+                seg.observe_all(chunk);
+                sharded.absorb_window(&seg);
             }
+            let a = direct.end_window().unwrap();
+            let b = sharded.end_window().unwrap();
+            assert_eq!(a.samples(), b.samples());
         }
     }
 }

@@ -165,7 +165,7 @@ proptest! {
         // WindowedProfilers must reproduce, tenant by tenant, the batch
         // ReuseProfile of that tenant's subsequence — both inside the
         // first window and inside the window after a boundary.
-        use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
+        use cps_hotl::windowed::WindowedProfiler;
         use cps_trace::interleave::interleave_proportional;
         use cps_trace::Trace;
 
@@ -176,8 +176,8 @@ proptest! {
         let cut = ((co.len() as f64 * cut_frac) as usize).max(1).min(co.len());
 
         let mut profs = [
-            WindowedProfiler::new(32, ProfilerMode::Windowed { decay: 0.5 }),
-            WindowedProfiler::new(32, ProfilerMode::Windowed { decay: 0.5 }),
+            WindowedProfiler::new(32, 0.5),
+            WindowedProfiler::new(32, 0.5),
         ];
         let mut subseq: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
         let assert_snapshots_match = |profs: &[WindowedProfiler; 2], subseq: &[Vec<u64>; 2], at: &str|

@@ -1,35 +1,42 @@
-//! The TCP daemon: a readiness event loop, a sequencing window, and a
-//! single ingest pump that owns the engine.
+//! The TCP daemon: a readiness event loop that owns the sequencing
+//! window, and a single ingest pump that owns the engine.
 //!
-//! **Threads.** Exactly two, regardless of how many clients connect:
-//! the *event loop* (the caller of [`Server::run`]) owns the listener
-//! and every session socket behind the crate's zero-dep poller, and the
-//! *pump* owns the [`RepartitionEngine`] outright — no mutex on the
-//! ingest hot path. Thousands of idle sessions cost file descriptors,
-//! not stacks.
+//! **Threads.** Exactly two, regardless of how many clients connect,
+//! and each piece of state has one owner. The *event loop* (the caller
+//! of [`Server::run`]) owns every socket behind the crate's zero-dep
+//! poller, the reorder ring, the control FIFO and the per-session
+//! pending queues. The *pump* owns the [`RepartitionEngine`]. No lock:
+//! work goes to the pump over one channel, replies and epoch events
+//! come back over another, and a loopback datagram wakes the poller
+//! after each chunk and reply. Besides the metrics registry, the one
+//! shared word is the pump's consumed frontier.
 //!
 //! **Sequencing window.** The engine's determinism contract is that
 //! the global access stream has one canonical order. A single
-//! connection gets that for free (arrival order, the old BATCH verb).
+//! connection gets that for free (arrival order, the BATCH verb).
 //! Concurrent connections instead send BATCH_SEQ frames whose records
-//! carry explicit global stream positions; the event loop places them
-//! into a bounded reorder ring (`window_cap` slots, position `p` in
-//! slot `p % cap`) and the pump consumes the contiguous prefix,
-//! feeding the engine in canonical order. Identity with an in-process
-//! run holds by construction: the engine sees exactly the stream
-//! `0, 1, 2, …`.
-//!
-//! Records beyond the window park in a per-session pending queue and
+//! carry explicit global stream positions; the event loop parks those
+//! that arrive ahead of a gap in a reorder ring (position `p` in slot
+//! `p % window_cap`) and, after each frame, releases the newly
+//! contiguous prefix to the pump as one chunk, so the engine sees
+//! exactly the stream `0, 1, 2, …`.
+//! A position is admitted only below the consumed frontier plus
+//! `window_cap`, so the daemon never holds more records than the
+//! window. Records beyond it park in a per-session pending queue and
 //! the session's read interest is dropped — TCP backpressure, counted
 //! in `cps_serve_window_pauses_total`. Paused sessions are exempt from
 //! the idle timeout (the server itself made them quiet).
 //!
 //! **Control barrier.** Control verbs (STATS, COST_CURVES, APPLY, …)
-//! are queued to the pump stamped with the session's *watermark* — the
-//! first stream position the session has not yet sent — and execute
-//! only once ingest has passed it. A verb therefore observes every
-//! record its own connection sent before it, which is exactly the
-//! ordering the old mutex serialization gave external epoch clocking.
+//! queue stamped with the session's *watermark* — the first stream
+//! position the session has not yet sent — and the front request is
+//! released once the contiguous frontier reaches it, behind the records
+//! it must observe: channel order is the barrier.
+//!
+//! **Failure.** If the pump dies (a stage panicked), its channel
+//! disconnects: every attached session and observer gets
+//! `SHUTTING_DOWN "ingest pump failed: …"` and [`Server::run`] returns
+//! the error instead of hanging.
 //!
 //! **Resume.** HELLO_ACK discloses a session token. When a sequenced
 //! session's TCP connection drops mid-stream, its state (watermark,
@@ -57,8 +64,10 @@ use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything `cps serve` decides before binding the socket.
@@ -110,13 +119,6 @@ impl ServeConfig {
     /// The configuration HELLO_ACK discloses — enough for a client to
     /// rebuild the identical engine in process.
     pub fn wire_config(&self) -> WireConfig {
-        use cps_engine::ProfilerMode;
-        let decay = match self.engine.profiler {
-            ProfilerMode::Windowed { decay } => decay,
-            // Cumulative profiling is not reachable from the serve CLI;
-            // encode it as decay 0 with the windowed kind unchanged.
-            ProfilerMode::Cumulative => 0.0,
-        };
         WireConfig {
             // The wire keeps the engine-kind, shard and queue fields of
             // older protocol revisions; this server always hosts the
@@ -128,7 +130,7 @@ impl ServeConfig {
             epoch_length: self.engine.epoch_length as u64,
             shards: 1,
             queue_cap: 0,
-            decay_bits: decay.to_bits(),
+            decay_bits: self.engine.decay.to_bits(),
             hysteresis: self.engine.min_repartition_units as u64,
             policy: match self.engine.policy {
                 Policy::Optimal => 0,
@@ -232,7 +234,12 @@ impl ServeMetrics {
 
 /// A control verb queued from the event loop to the pump.
 enum CtrlOp {
-    Stats,
+    /// Session counts are the event loop's; it stamps them at queue
+    /// time.
+    Stats {
+        connections: u64,
+        active_sessions: u64,
+    },
     Allocation,
     Epoch,
     Snapshot,
@@ -247,56 +254,93 @@ enum CtrlOp {
     Shutdown,
 }
 
-/// One queued control request, runnable once ingest passes `watermark`.
+/// One queued control request, released to the pump once the
+/// contiguous frontier reaches `watermark`.
 struct CtrlReq {
     session: u64,
     watermark: u64,
     op: CtrlOp,
 }
 
-/// A finished control request flowing back to the event loop.
-struct Completion {
-    session: u64,
-    result: Result<Message, (u64, String)>,
+/// Work the event loop hands the pump, in canonical order.
+enum Work {
+    /// The next contiguous run of the stream.
+    Records(Vec<(usize, u64)>),
+    /// A control verb; every record it must observe precedes it.
+    Ctrl(CtrlReq),
 }
 
-/// State shared between the event loop and the pump, behind one mutex.
-struct PumpState {
-    /// The reorder ring: position `p` lives in slot `p % cap` until the
-    /// pump consumes it. `None` slots are free.
+/// What the pump hands back to the event loop.
+enum Back {
+    /// A finished control request.
+    Reply {
+        session: u64,
+        result: Result<Message, (u64, String)>,
+    },
+    /// A booked epoch rendered as its journal JSONL line, for
+    /// SUBSCRIBE observers.
+    Epoch(String),
+}
+
+/// The sequencing window, owned by the event loop.
+struct Window {
+    /// Capacity in records.
+    cap: u64,
+    /// The reorder ring for records that arrive ahead of a gap:
+    /// position `p` waits in slot `p % cap` until the gap fills.
+    /// Allocated on first use, so an in-order run never touches it.
     ring: Vec<Option<(usize, u64)>>,
-    /// The contiguous ingest frontier: every position `< next` has been
-    /// fed to the engine.
+    /// Contiguous records not yet handed to the pump.
+    ready: Vec<(usize, u64)>,
+    /// The contiguous frontier: every position `< next` is in `ready`
+    /// or already with the pump.
     next: u64,
     /// Next position handed to an *unsequenced* BATCH record (arrival
     /// order is the canonical order in that mode).
     assigned: u64,
-    /// FIFO control queue; only the front is eligible, once its
-    /// watermark is reached.
-    ctrl: VecDeque<CtrlReq>,
-    /// Set by the pump after SHUTDOWN (or by the event loop on a fatal
-    /// error) — both sides drain and exit.
-    stopping: bool,
+    /// The pump's consumed frontier: every position below it has been
+    /// fed to the engine.
+    consumed: Arc<AtomicU64>,
 }
 
-impl PumpState {
-    fn cap(&self) -> u64 {
-        self.ring.len() as u64
+impl Window {
+    /// The admission bound: positions from here on wait. Callers read
+    /// it once per frame, so one frame's admissions share one bound.
+    fn limit(&self) -> u64 {
+        // Relaxed: the frontier only bounds memory, it publishes no data.
+        self.consumed.load(Ordering::Relaxed) + self.cap
     }
 
-    /// Places one positioned record, if the window admits it now.
-    fn admit(&mut self, pos: u64, tenant: usize, block: u64) -> Admit {
+    /// Places one positioned record below `limit`, if it is new.
+    fn admit(&mut self, pos: u64, (tenant, block): (usize, u64), limit: u64) -> Admit {
         if pos < self.next {
             return Admit::Duplicate;
         }
-        if pos >= self.next + self.cap() {
+        if pos >= limit {
             return Admit::Beyond;
         }
-        let slot = (pos % self.cap()) as usize;
-        if self.ring[slot].is_some() {
-            return Admit::Duplicate;
+        if pos > self.next {
+            if self.ring.is_empty() {
+                self.ring = vec![None; self.cap as usize];
+            }
+            let slot = &mut self.ring[(pos % self.cap) as usize];
+            if slot.is_some() {
+                return Admit::Duplicate;
+            }
+            *slot = Some((tenant, block));
+            return Admit::Placed;
         }
-        self.ring[slot] = Some((tenant, block));
+        self.ready.push((tenant, block));
+        self.next += 1;
+        // The arrival may close a gap: pull in the run parked behind it.
+        while let Some(rec) = self
+            .ring
+            .get_mut((self.next % self.cap) as usize)
+            .and_then(Option::take)
+        {
+            self.ready.push(rec);
+            self.next += 1;
+        }
         Admit::Placed
     }
 }
@@ -317,37 +361,14 @@ enum Mode {
     Unsequenced,
 }
 
-/// Everything both threads can see.
-struct Shared {
-    header: RunHeader,
-    wire_config: WireConfig,
-    pump: Mutex<PumpState>,
-    work: Condvar,
-    completions: Mutex<VecDeque<Completion>>,
-    /// Live epoch records rendered as journal JSONL lines, queued by
-    /// the pump's epoch hook for the event loop to fan out to
-    /// SUBSCRIBE observers. Drained (and dropped) even with no
-    /// observer attached.
-    events: Mutex<VecDeque<String>>,
-    outcome: Mutex<Option<ServeOutcome>>,
-    stopping: AtomicBool,
-    /// Sessions admitted over the lifetime (HELLO accepted).
-    admitted: AtomicU64,
-    /// Sessions currently attached to a live connection.
-    attached: AtomicU64,
-    metrics: ServeMetrics,
-    registry: Arc<MetricsRegistry>,
-}
-
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
     telemetry: Option<TcpListener>,
-    shared: Arc<Shared>,
     engine: RepartitionEngine,
-    idle_timeout: Duration,
-    resume_grace: Duration,
-    max_conns: usize,
+    config: ServeConfig,
+    metrics: ServeMetrics,
+    registry: Arc<MetricsRegistry>,
 }
 
 impl Server {
@@ -359,43 +380,30 @@ impl Server {
         config: ServeConfig,
         registry: Arc<MetricsRegistry>,
     ) -> Result<Server, String> {
+        let engine =
+            RepartitionEngine::with_metrics(config.engine.clone(), config.tenants, &registry);
+        Server::with_engine(addr, config, registry, engine)
+    }
+
+    /// Like [`bind`](Self::bind), hosting an engine built by the caller.
+    fn with_engine(
+        addr: &str,
+        config: ServeConfig,
+        registry: Arc<MetricsRegistry>,
+        engine: RepartitionEngine,
+    ) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let telemetry = match &config.telemetry_addr {
             Some(t) => Some(TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?),
             None => None,
         };
-        let engine =
-            RepartitionEngine::with_metrics(config.engine.clone(), config.tenants, &registry);
-        let metrics = ServeMetrics::register(&registry);
-        let window_cap = config.window_cap.max(1);
-        let shared = Arc::new(Shared {
-            header: config.run_header(),
-            wire_config: config.wire_config(),
-            pump: Mutex::new(PumpState {
-                ring: vec![None; window_cap],
-                next: 0,
-                assigned: 0,
-                ctrl: VecDeque::new(),
-                stopping: false,
-            }),
-            work: Condvar::new(),
-            completions: Mutex::new(VecDeque::new()),
-            events: Mutex::new(VecDeque::new()),
-            outcome: Mutex::new(None),
-            stopping: AtomicBool::new(false),
-            admitted: AtomicU64::new(0),
-            attached: AtomicU64::new(0),
-            metrics,
-            registry,
-        });
         Ok(Server {
             listener,
             telemetry,
-            shared,
             engine,
-            idle_timeout: config.idle_timeout,
-            resume_grace: config.resume_grace,
-            max_conns: config.max_conns,
+            config,
+            metrics: ServeMetrics::register(&registry),
+            registry,
         })
     }
 
@@ -414,16 +422,16 @@ impl Server {
 
     /// Serves until a client issues SHUTDOWN, then returns the
     /// finished run. The pump thread is joined before returning, so
-    /// the outcome is complete and final.
+    /// the outcome is complete and final. A pump that dies before
+    /// SHUTDOWN (a panicking stage) fails the run with its message.
     pub fn run(self) -> Result<ServeOutcome, String> {
         let Server {
             listener,
             telemetry,
-            shared,
             engine,
-            idle_timeout,
-            resume_grace,
-            max_conns,
+            config,
+            metrics,
+            registry,
         } = self;
         listener
             .set_nonblocking(true)
@@ -448,10 +456,22 @@ impl Server {
             .connect(wake_addr)
             .map_err(|e| format!("wake connect: {e}"))?;
 
-        let pump_shared = Arc::clone(&shared);
+        let (to_pump, work) = mpsc::channel();
+        let (back, from_pump) = mpsc::channel();
+        let consumed = Arc::new(AtomicU64::new(0));
+        let pump = Pump {
+            engine,
+            header: config.run_header(),
+            registry: Arc::clone(&registry),
+            records: metrics.records.clone(),
+            batch_drain_nanos: metrics.batch_drain_nanos.clone(),
+            consumed: Arc::clone(&consumed),
+            back,
+            wake: wake_tx,
+        };
         let pump = std::thread::Builder::new()
             .name("cps-serve-pump".into())
-            .spawn(move || pump_thread(pump_shared, engine, wake_tx))
+            .spawn(move || pump.run(work))
             .map_err(|e| format!("spawn pump: {e}"))?;
 
         let mut poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
@@ -467,8 +487,11 @@ impl Server {
                 .map_err(|e| format!("register telemetry: {e}"))?;
         }
 
-        let mut el = EventLoop {
-            shared: Arc::clone(&shared),
+        EventLoop {
+            header: config.run_header(),
+            wire_config: config.wire_config(),
+            metrics,
+            registry,
             poller,
             listener,
             telemetry,
@@ -481,29 +504,23 @@ impl Server {
             next_session_id: 1,
             nonce: token_nonce(),
             mode: None,
-            idle_timeout,
-            resume_grace,
-            max_conns,
+            window: Window {
+                cap: config.window_cap.max(1) as u64,
+                ring: Vec::new(),
+                ready: Vec::new(),
+                next: 0,
+                assigned: 0,
+                consumed,
+            },
+            ctrl: VecDeque::new(),
+            to_pump,
+            from_pump,
+            pump: Some(pump),
+            stopping: false,
             flush_deadline: None,
-        };
-        let result = el.run();
-
-        // Make sure the pump exits even on an error path, then join it.
-        {
-            let mut st = shared.pump.lock().expect("pump lock");
-            st.stopping = true;
-            shared.work.notify_all();
+            config,
         }
-        let _ = pump.join();
-        result?;
-
-        let outcome = shared
-            .outcome
-            .lock()
-            .expect("outcome lock")
-            .take()
-            .ok_or("server stopped without an outcome")?;
-        Ok(outcome)
+        .run()
     }
 }
 
@@ -513,11 +530,9 @@ const TOKEN_TELEMETRY: u64 = 2;
 const TOKEN_FIRST_CONN: u64 = 3;
 
 /// The event loop's poll tick: bounds wake-datagram loss, idle sweep
-/// latency, and shutdown-flush latency.
+/// latency, shutdown-flush latency, and how long a dead pump goes
+/// unnoticed.
 const TICK: Duration = Duration::from_millis(25);
-
-/// How many contiguous records the pump feeds per lock acquisition.
-const PUMP_CHUNK: usize = 4096;
 
 /// What dialect a connection speaks.
 #[derive(Clone, Copy, PartialEq)]
@@ -559,8 +574,6 @@ struct SessionState {
     /// Resume token disclosed in HELLO_ACK.
     token: u64,
     binding: Option<u64>,
-    /// Latched by the first BATCH_SEQ frame.
-    sequenced: bool,
     /// Records this session has delivered (parsed, not necessarily
     /// ingested yet).
     records: u64,
@@ -591,7 +604,10 @@ struct ObserverState {
 }
 
 struct EventLoop {
-    shared: Arc<Shared>,
+    header: RunHeader,
+    wire_config: WireConfig,
+    metrics: ServeMetrics,
+    registry: Arc<MetricsRegistry>,
     poller: Poller,
     listener: TcpListener,
     telemetry: Option<TcpListener>,
@@ -606,15 +622,44 @@ struct EventLoop {
     next_session_id: u64,
     nonce: u64,
     mode: Option<Mode>,
-    idle_timeout: Duration,
-    resume_grace: Duration,
-    max_conns: usize,
+    window: Window,
+    /// FIFO control queue; only the front is eligible, once the
+    /// contiguous frontier reaches its watermark.
+    ctrl: VecDeque<CtrlReq>,
+    to_pump: Sender<Work>,
+    from_pump: Receiver<Back>,
+    /// The pump thread; taken when it is joined early (pump failure).
+    pump: Option<JoinHandle<Option<ServeOutcome>>>,
+    /// SHUTDOWN has been released to the pump (or the pump died):
+    /// nothing more is admitted or released.
+    stopping: bool,
     /// Once SHUTDOWN's reply is queued: drain until then, then exit.
     flush_deadline: Option<Instant>,
+    /// The session-table, idle and resume-grace limits.
+    config: ServeConfig,
 }
 
 impl EventLoop {
-    fn run(&mut self) -> Result<(), String> {
+    /// Serves until SHUTDOWN's reply has drained, then joins the pump
+    /// and returns its outcome.
+    fn run(mut self) -> Result<ServeOutcome, String> {
+        let served = self.serve();
+        // On an error path the pump may still be waiting for work: hang
+        // up so it exits, then join it.
+        drop(self.to_pump);
+        let joined = self.pump.map(JoinHandle::join);
+        served?;
+        match joined {
+            Some(Ok(Some(mut outcome))) => {
+                // Session ids count HELLO admissions from 1.
+                outcome.connections = self.next_session_id - 1;
+                Ok(outcome)
+            }
+            _ => Err("server stopped without an outcome".into()),
+        }
+    }
+
+    fn serve(&mut self) -> Result<(), String> {
         let mut events: Vec<Event> = Vec::new();
         loop {
             self.poller
@@ -622,12 +667,12 @@ impl EventLoop {
                 .map_err(|e| format!("poll: {e}"))?;
             for ev in events.drain(..) {
                 match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_LISTENER => self.accept_ready(ConnKind::Wire),
                     TOKEN_WAKE => self.drain_wakes(),
-                    TOKEN_TELEMETRY => self.accept_telemetry(),
+                    TOKEN_TELEMETRY => self.accept_ready(ConnKind::Http),
                     token => {
                         if ev.writable {
-                            self.conn_writable(token);
+                            self.flush_conn(token);
                         }
                         if ev.readable {
                             self.conn_readable(token);
@@ -636,17 +681,17 @@ impl EventLoop {
                 }
             }
             self.flush_pending();
-            self.drain_completions();
-            self.fan_out_events();
+            self.drain_pump()?;
             self.metrics_ticks(Instant::now());
             self.sweep(Instant::now());
             if let Some(deadline) = self.flush_deadline {
                 let flushed = self.conns.values().all(|c| c.wbuf.len() == c.wstart);
                 if flushed || Instant::now() >= deadline {
                     // Count what never reached the engine.
-                    let dropped: u64 = self.sessions.values().map(|s| s.pending.len() as u64).sum();
-                    if dropped > 0 {
-                        self.shared.metrics.dropped_records.add(dropped);
+                    let parked: usize = self.sessions.values().map(|s| s.pending.len()).sum();
+                    let held = self.window.ring.iter().flatten().count() + self.window.ready.len();
+                    if parked + held > 0 {
+                        self.metrics.dropped_records.add((parked + held) as u64);
                     }
                     return Ok(());
                 }
@@ -654,11 +699,22 @@ impl EventLoop {
         }
     }
 
-    fn accept_ready(&mut self) {
+    /// Accepts connections on the wire listener (`ConnKind::Wire`) or
+    /// the telemetry listener (`ConnKind::Http`).
+    fn accept_ready(&mut self, kind: ConnKind) {
         loop {
-            match self.listener.accept() {
+            let listener = match kind {
+                ConnKind::Http => match &self.telemetry {
+                    Some(l) => l,
+                    None => return,
+                },
+                _ => &self.listener,
+            };
+            match listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.shared.metrics.connections.inc();
+                    if kind == ConnKind::Wire {
+                        self.metrics.connections.inc();
+                    }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -676,7 +732,7 @@ impl EventLoop {
                         token,
                         Conn {
                             stream,
-                            kind: ConnKind::Wire,
+                            kind,
                             rbuf: Vec::new(),
                             rstart: 0,
                             wbuf: Vec::new(),
@@ -697,51 +753,6 @@ impl EventLoop {
         }
     }
 
-    /// Accepts HTTP scrape connections on the telemetry listener.
-    fn accept_telemetry(&mut self) {
-        loop {
-            let listener = match &self.telemetry {
-                Some(l) => l,
-                None => return,
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_conn_token;
-                    self.next_conn_token += 1;
-                    if self
-                        .poller
-                        .register(&stream, token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            kind: ConnKind::Http,
-                            rbuf: Vec::new(),
-                            rstart: 0,
-                            wbuf: Vec::new(),
-                            wstart: 0,
-                            session: None,
-                            paused: false,
-                            close_after_flush: false,
-                            last_activity: Instant::now(),
-                        },
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
     fn drain_wakes(&mut self) {
         let mut buf = [0u8; 8];
         let mut n = 0u64;
@@ -749,7 +760,7 @@ impl EventLoop {
             n += 1;
         }
         if n > 0 {
-            self.shared.metrics.wakeups.add(n);
+            self.metrics.wakeups.add(n);
         }
     }
 
@@ -828,7 +839,7 @@ impl EventLoop {
                 }
                 Ok(Some(len)) => len,
                 Err(e) => {
-                    self.shared.metrics.decode_errors.inc();
+                    self.metrics.decode_errors.inc();
                     self.refuse_close(token, error_code::PROTOCOL, &e.to_string());
                     return false;
                 }
@@ -836,7 +847,7 @@ impl EventLoop {
             let msg = match decode(&conn.rbuf[conn.rstart..conn.rstart + frame_len]) {
                 Ok((msg, _)) => msg,
                 Err(e) => {
-                    self.shared.metrics.decode_errors.inc();
+                    self.metrics.decode_errors.inc();
                     self.refuse_close(token, error_code::PROTOCOL, &e.to_string());
                     return false;
                 }
@@ -846,11 +857,10 @@ impl EventLoop {
                 conn.rbuf.clear();
                 conn.rstart = 0;
             }
-            self.shared.metrics.frames.inc();
+            self.metrics.frames.inc();
             let started = Instant::now();
             let alive = self.handle_message(token, msg);
-            self.shared
-                .metrics
+            self.metrics
                 .frame_nanos
                 .observe(started.elapsed().as_nanos() as u64);
             if !alive {
@@ -891,15 +901,21 @@ impl EventLoop {
             } => self.on_subscribe(token, metrics_interval_ms),
             Message::Batch { records } => self.on_batch(token, records),
             Message::BatchSeq { records } => self.on_batch_seq(token, records),
-            Message::Stats => self.queue_ctrl(token, CtrlOp::Stats),
+            Message::Stats => {
+                let op = CtrlOp::Stats {
+                    connections: self.next_session_id - 1,
+                    active_sessions: self.attached() as u64,
+                };
+                self.queue_ctrl(token, op)
+            }
             Message::Allocation => self.queue_ctrl(token, CtrlOp::Allocation),
             Message::Epoch => self.queue_ctrl(token, CtrlOp::Epoch),
             Message::Snapshot => self.queue_ctrl(token, CtrlOp::Snapshot),
             Message::CostCurves { objective, trace } => {
-                if objective != self.shared.wire_config.objective {
+                if objective != self.wire_config.objective {
                     let message = format!(
                         "objective mismatch: this node optimizes `{}`, request asked for `{objective}`",
-                        self.shared.wire_config.objective
+                        self.wire_config.objective
                     );
                     self.refuse_close(token, error_code::OBJECTIVE, &message);
                     return false;
@@ -947,19 +963,13 @@ impl EventLoop {
     /// journal header line, then the server pushes each epoch record
     /// (and, if requested, periodic metrics deltas) until shutdown.
     fn on_subscribe(&mut self, token: u64, metrics_interval_ms: u64) -> bool {
-        if self.conn_session(token).is_some() {
-            self.refuse_close(token, error_code::PROTOCOL, "session already open");
-            return false;
-        }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        if !self.may_open(token) {
             return false;
         }
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.kind = ConnKind::Observer;
         }
-        let header = self.shared.header.to_json_line();
+        let header = self.header.to_json_line();
         if !self.queue_msg(token, &Message::SubscribeAck { header }) {
             return false;
         }
@@ -977,7 +987,7 @@ impl EventLoop {
             // The first frame is the full snapshot, immediately — a
             // one-shot consumer (`cps top --once`) need not wait a
             // whole interval.
-            let snap = self.shared.registry.snapshot().render_jsonl();
+            let snap = self.registry.snapshot().render_jsonl();
             let text = metrics_delta(&snap, &mut state.prev);
             if !self.queue_msg(token, &Message::MetricsDelta { text }) {
                 return false;
@@ -987,22 +997,11 @@ impl EventLoop {
         true
     }
 
-    /// Fans queued epoch-event lines out to every observer. Lines are
-    /// drained (and dropped) even with no observer attached, so the
-    /// queue never grows unbounded.
-    fn fan_out_events(&mut self) {
-        loop {
-            let line = {
-                let mut q = self.shared.events.lock().expect("events lock");
-                match q.pop_front() {
-                    Some(l) => l,
-                    None => return,
-                }
-            };
-            let targets: Vec<u64> = self.observers.keys().copied().collect();
-            for token in targets {
-                self.queue_msg(token, &Message::EpochEventFrame { line: line.clone() });
-            }
+    /// Fans an epoch-event line out to every observer.
+    fn fan_out_event(&mut self, line: String) {
+        let targets: Vec<u64> = self.observers.keys().copied().collect();
+        for token in targets {
+            self.queue_msg(token, &Message::EpochEventFrame { line: line.clone() });
         }
     }
 
@@ -1018,7 +1017,7 @@ impl EventLoop {
         if due.is_empty() {
             return;
         }
-        let snap = self.shared.registry.snapshot().render_jsonl();
+        let snap = self.registry.snapshot().render_jsonl();
         for token in due {
             let interval = match self.observers.get_mut(&token) {
                 Some(state) => {
@@ -1093,7 +1092,7 @@ impl EventLoop {
         let mut parts = request_line.split_whitespace();
         let response = match (parts.next(), parts.next()) {
             (Some("GET"), Some(path)) if path == "/metrics" || path.starts_with("/metrics?") => {
-                let body = self.shared.registry.snapshot().render_prometheus();
+                let body = self.registry.snapshot().render_prometheus();
                 http_response(200, "OK", "text/plain; version=0.0.4", &body)
             }
             (Some("GET"), Some(_)) => http_response(
@@ -1121,29 +1120,59 @@ impl EventLoop {
         self.flush_conn(token);
     }
 
-    fn on_hello(&mut self, token: u64, binding: Option<u64>) -> bool {
+    /// Refuses a connection that already speaks for a session, and any
+    /// new session once the server is stopping.
+    fn may_open(&mut self, token: u64) -> bool {
         if self.conn_session(token).is_some() {
             self.refuse_close(token, error_code::PROTOCOL, "session already open");
             return false;
         }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
+        if self.stopping {
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
             return false;
         }
-        if let Some(t) = binding {
-            if t >= self.shared.wire_config.tenants {
-                self.shared.metrics.rejects.inc();
-                let message = format!(
-                    "tenant {t} out of range (server has {})",
-                    self.shared.wire_config.tenants
-                );
-                self.refuse_close(token, error_code::BAD_TENANT, &message);
-                return false;
-            }
+        true
+    }
+
+    /// The session `token` speaks for, if it may still send work;
+    /// otherwise refuses and closes the connection.
+    fn sending_session(&mut self, token: u64) -> Option<u64> {
+        let Some(id) = self.conn_session(token) else {
+            self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
+            return None;
+        };
+        if self.stopping {
+            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+            return None;
         }
-        if self.sessions.len() >= self.max_conns {
-            self.shared.metrics.rejects.inc();
+        Some(id)
+    }
+
+    /// Why a session bound to `binding` may not send a record for
+    /// tenant `t`, if so.
+    fn tenant_refusal(&self, binding: Option<u64>, t: u64) -> Option<String> {
+        let tenants = self.wire_config.tenants;
+        match binding {
+            _ if t >= tenants => Some(format!("tenant {t} out of range (server has {tenants})")),
+            Some(bound) if t != bound => Some(format!(
+                "session bound to tenant {bound} sent a record for {t}"
+            )),
+            _ => None,
+        }
+    }
+
+    fn on_hello(&mut self, token: u64, binding: Option<u64>) -> bool {
+        if !self.may_open(token) {
+            return false;
+        }
+        if let Some(message) = binding.and_then(|t| self.tenant_refusal(None, t)) {
+            self.metrics.rejects.inc();
+            self.refuse_close(token, error_code::BAD_TENANT, &message);
+            return false;
+        }
+        if self.sessions.len() >= self.config.max_conns {
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SERVER_FULL, "session table full");
             return false;
         }
@@ -1155,7 +1184,6 @@ impl EventLoop {
             SessionState {
                 token: resume_token,
                 binding,
-                sequenced: false,
                 records: 0,
                 watermark: 0,
                 pending: VecDeque::new(),
@@ -1168,32 +1196,24 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.session = Some(id);
         }
-        self.shared.admitted.fetch_add(1, Ordering::SeqCst);
-        self.shared.attached.fetch_add(1, Ordering::SeqCst);
         self.sync_session_gauges();
         self.queue_msg(
             token,
             &Message::HelloAck {
-                config: self.shared.wire_config.clone(),
+                config: self.wire_config.clone(),
                 token: resume_token,
             },
         )
     }
 
     fn on_resume(&mut self, token: u64, resume_token: u64) -> bool {
-        if self.conn_session(token).is_some() {
-            self.refuse_close(token, error_code::PROTOCOL, "session already open");
-            return false;
-        }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        if !self.may_open(token) {
             return false;
         }
         let id = match self.tokens.get(&resume_token) {
             Some(&id) => id,
             None => {
-                self.shared.metrics.rejects.inc();
+                self.metrics.rejects.inc();
                 self.refuse_close(
                     token,
                     error_code::BAD_TOKEN,
@@ -1210,7 +1230,6 @@ impl EventLoop {
                 old_conn.session = None;
             }
             self.close_conn(old, false);
-            self.shared.attached.fetch_sub(1, Ordering::SeqCst);
         }
         let sess = self.sessions.get_mut(&id).expect("resumed session");
         sess.conn = Some(token);
@@ -1221,13 +1240,12 @@ impl EventLoop {
             conn.session = Some(id);
             conn.paused = paused;
         }
-        self.shared.attached.fetch_add(1, Ordering::SeqCst);
-        self.shared.metrics.resumes.inc();
+        self.metrics.resumes.inc();
         self.sync_session_gauges();
         let ok = self.queue_msg(
             token,
             &Message::ResumeAck {
-                config: self.shared.wire_config.clone(),
+                config: self.wire_config.clone(),
                 resume_pos: watermark,
             },
         );
@@ -1238,18 +1256,10 @@ impl EventLoop {
     }
 
     fn on_batch(&mut self, token: u64, records: Vec<(u64, u64)>) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.sending_session(token) else {
             return false;
-        }
-        if self.mode == Some(Mode::Sequenced) || self.sessions[&id].sequenced {
+        };
+        if self.mode == Some(Mode::Sequenced) {
             self.refuse_close(
                 token,
                 error_code::BAD_SEQUENCE,
@@ -1258,56 +1268,41 @@ impl EventLoop {
             return false;
         }
         let binding = self.sessions[&id].binding;
-        let tenants = self.shared.wire_config.tenants;
-        for &(t, _) in &records {
-            if t >= tenants {
-                let message = format!("tenant {t} out of range (server has {tenants})");
-                self.refuse_close(token, error_code::BAD_TENANT, &message);
-                return false;
-            }
-            if let Some(bound) = binding {
-                if t != bound {
-                    let message = format!("session bound to tenant {bound} sent a record for {t}");
-                    self.refuse_close(token, error_code::BAD_TENANT, &message);
-                    return false;
-                }
-            }
+        if let Some(message) = records
+            .iter()
+            .find_map(|&(t, _)| self.tenant_refusal(binding, t))
+        {
+            self.refuse_close(token, error_code::BAD_TENANT, &message);
+            return false;
         }
         self.mode = Some(Mode::Unsequenced);
         let n = records.len() as u64;
-        let watermark;
-        {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            let sess = self.sessions.get_mut(&id).expect("batch session");
-            for (t, b) in records {
-                let pos = st.assigned;
-                st.assigned += 1;
-                if st.admit(pos, t as usize, b) == Admit::Beyond {
-                    sess.pending.push_back((pos, t as usize, b));
-                }
+        let sess = self.sessions.get_mut(&id).expect("batch session");
+        self.window.ready.reserve(records.len());
+        let limit = self.window.limit();
+        for (t, b) in records {
+            let pos = self.window.assigned;
+            self.window.assigned += 1;
+            // Once one record parks, the rest of the frame parks behind
+            // it, so arrival order never opens a gap in the ring.
+            if !sess.pending.is_empty()
+                || self.window.admit(pos, (t as usize, b), limit) == Admit::Beyond
+            {
+                sess.pending.push_back((pos, t as usize, b));
             }
-            watermark = st.assigned;
-            sess.records += n;
-            sess.watermark = watermark;
         }
-        self.shared.work.notify_all();
-        self.shared.metrics.batches.inc();
+        sess.records += n;
+        sess.watermark = self.window.assigned;
+        self.metrics.batches.inc();
+        self.release();
         self.pause_if_backlogged(token, id);
         true
     }
 
     fn on_batch_seq(&mut self, token: u64, records: Vec<(u64, u64, u64)>) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.sending_session(token) else {
             return false;
-        }
+        };
         if self.mode == Some(Mode::Unsequenced) {
             self.refuse_close(
                 token,
@@ -1317,21 +1312,15 @@ impl EventLoop {
             return false;
         }
         let binding = self.sessions[&id].binding;
-        let tenants = self.shared.wire_config.tenants;
+        if let Some(message) = records
+            .iter()
+            .find_map(|&(_, t, _)| self.tenant_refusal(binding, t))
+        {
+            self.refuse_close(token, error_code::BAD_TENANT, &message);
+            return false;
+        }
         let mut watermark = self.sessions[&id].watermark;
-        for &(pos, t, _) in &records {
-            if t >= tenants {
-                let message = format!("tenant {t} out of range (server has {tenants})");
-                self.refuse_close(token, error_code::BAD_TENANT, &message);
-                return false;
-            }
-            if let Some(bound) = binding {
-                if t != bound {
-                    let message = format!("session bound to tenant {bound} sent a record for {t}");
-                    self.refuse_close(token, error_code::BAD_TENANT, &message);
-                    return false;
-                }
-            }
+        for &(pos, _, _) in &records {
             if pos < watermark {
                 let message = format!(
                     "position {pos} below this session's watermark {watermark} (duplicate or out of order)"
@@ -1343,98 +1332,97 @@ impl EventLoop {
         }
         self.mode = Some(Mode::Sequenced);
         let n = records.len() as u64;
-        {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            for &(pos, t, b) in &records {
-                match st.admit(pos, t as usize, b) {
-                    Admit::Placed => {}
-                    Admit::Beyond => {
-                        let sess = self.sessions.get_mut(&id).expect("seq session");
-                        sess.pending.push_back((pos, t as usize, b));
-                    }
-                    Admit::Duplicate => {
-                        drop(st);
-                        let message =
-                            format!("position {pos} already ingested or held by another session");
-                        self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
-                        return false;
-                    }
+        let limit = self.window.limit();
+        let sess = self.sessions.get_mut(&id).expect("seq session");
+        for (pos, t, b) in records {
+            match self.window.admit(pos, (t as usize, b), limit) {
+                Admit::Placed => {}
+                Admit::Beyond => sess.pending.push_back((pos, t as usize, b)),
+                Admit::Duplicate => {
+                    let message =
+                        format!("position {pos} already ingested or held by another session");
+                    self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
+                    return false;
                 }
             }
         }
-        let sess = self.sessions.get_mut(&id).expect("seq session");
-        sess.sequenced = true;
         sess.records += n;
         sess.watermark = watermark;
-        self.shared.work.notify_all();
-        self.shared.metrics.batches.inc();
+        self.metrics.batches.inc();
+        self.release();
         self.pause_if_backlogged(token, id);
         true
     }
 
     /// Queues a control verb to the pump at the session's watermark.
     fn queue_ctrl(&mut self, token: u64, op: CtrlOp) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.sending_session(token) else {
             return false;
-        }
-        let watermark = self.sessions[&id].watermark;
-        {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            st.ctrl.push_back(CtrlReq {
-                session: id,
-                watermark,
-                op,
-            });
-        }
-        self.shared.work.notify_all();
-        if let Some(sess) = self.sessions.get_mut(&id) {
-            sess.inflight += 1;
-        }
+        };
+        let sess = self.sessions.get_mut(&id).expect("ctrl session");
+        sess.inflight += 1;
+        self.ctrl.push_back(CtrlReq {
+            session: id,
+            watermark: sess.watermark,
+            op,
+        });
+        self.release();
         true
     }
 
-    /// Moves pending (beyond-window) records into the ring as ingest
-    /// frees slots, then unpauses connections whose backlog drained.
-    fn flush_pending(&mut self) {
-        let mut progressed = false;
-        let mut drained: Vec<u64> = Vec::new();
+    /// Hands the pump everything now runnable: the contiguous records
+    /// ready since the last release, then each control request at the
+    /// front of the FIFO whose watermark they reached. SHUTDOWN is the
+    /// last work ever released.
+    fn release(&mut self) {
+        if self.stopping {
+            return;
+        }
+        if !self.window.ready.is_empty() {
+            let prefix = std::mem::take(&mut self.window.ready);
+            // A failed send means the pump died; `drain_pump` reports it.
+            let _ = self.to_pump.send(Work::Records(prefix));
+        }
+        while self
+            .ctrl
+            .front()
+            .is_some_and(|c| c.watermark <= self.window.next)
         {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            for (&id, sess) in self.sessions.iter_mut() {
-                if sess.pending.is_empty() {
-                    continue;
-                }
-                while let Some(&(pos, t, b)) = sess.pending.front() {
-                    match st.admit(pos, t, b) {
-                        Admit::Placed => {
-                            sess.pending.pop_front();
-                            progressed = true;
-                        }
-                        // Duplicate cannot happen for parked records —
-                        // each position was validated at arrival — but
-                        // dropping it is safer than wedging the queue.
-                        Admit::Duplicate => {
-                            sess.pending.pop_front();
-                        }
-                        Admit::Beyond => break,
-                    }
-                }
-                if sess.pending.is_empty() {
-                    drained.push(id);
-                }
+            let req = self.ctrl.pop_front().expect("front checked");
+            self.stopping = matches!(req.op, CtrlOp::Shutdown);
+            let _ = self.to_pump.send(Work::Ctrl(req));
+            if self.stopping {
+                return;
             }
         }
-        if progressed {
-            self.shared.work.notify_all();
+    }
+
+    /// Admits pending (beyond-window) records as ingest frees room,
+    /// releases what became runnable, then unpauses connections whose
+    /// backlog drained.
+    fn flush_pending(&mut self) {
+        let mut drained: Vec<u64> = Vec::new();
+        let limit = self.window.limit();
+        for (&id, sess) in self.sessions.iter_mut() {
+            if sess.pending.is_empty() {
+                continue;
+            }
+            while let Some(&(pos, t, b)) = sess.pending.front() {
+                match self.window.admit(pos, (t, b), limit) {
+                    Admit::Beyond => break,
+                    // Duplicate cannot happen for parked records — each
+                    // position was validated at arrival — but dropping
+                    // it is safer than wedging the queue.
+                    Admit::Placed | Admit::Duplicate => {
+                        sess.pending.pop_front();
+                    }
+                }
+            }
+            if sess.pending.is_empty() {
+                drained.push(id);
+            }
         }
+        self.release();
         for id in drained {
             if let Some(token) = self.sessions.get(&id).and_then(|s| s.conn) {
                 if let Some(conn) = self.conns.get_mut(&token) {
@@ -1460,31 +1448,36 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&token) {
                 if !conn.paused {
                     conn.paused = true;
-                    self.shared.metrics.window_pauses.inc();
+                    self.metrics.window_pauses.inc();
                     self.update_interest(token);
                 }
             }
         }
     }
 
-    /// Delivers finished control requests back onto their sessions'
-    /// connections.
-    fn drain_completions(&mut self) {
+    /// Delivers what the pump sent back: control replies onto their
+    /// sessions' connections, epoch lines to observers. A pump that
+    /// hung up before SHUTDOWN's reply died; that fails the run.
+    fn drain_pump(&mut self) -> Result<(), String> {
         loop {
-            let done = {
-                let mut q = self.shared.completions.lock().expect("completions lock");
-                match q.pop_front() {
-                    Some(c) => c,
-                    None => return,
+            let (session, result) = match self.from_pump.try_recv() {
+                Ok(Back::Reply { session, result }) => (session, result),
+                Ok(Back::Epoch(line)) => {
+                    self.fan_out_event(line);
+                    continue;
                 }
+                Err(TryRecvError::Empty) => return Ok(()),
+                // The pump returns right after SHUTDOWN's reply.
+                Err(TryRecvError::Disconnected) if self.flush_deadline.is_some() => return Ok(()),
+                Err(TryRecvError::Disconnected) => return Err(self.pump_failed()),
             };
-            if let Some(sess) = self.sessions.get_mut(&done.session) {
-                sess.inflight = sess.inflight.saturating_sub(1);
-            }
-            let conn_token = self.sessions.get(&done.session).and_then(|s| s.conn);
-            let shutdown_reply = matches!(done.result, Ok(Message::ShutdownReply { .. }));
+            let conn_token = self.sessions.get_mut(&session).and_then(|s| {
+                s.inflight = s.inflight.saturating_sub(1);
+                s.conn
+            });
+            let shutdown_reply = matches!(result, Ok(Message::ShutdownReply { .. }));
             if let Some(token) = conn_token {
-                match done.result {
+                match result {
                     Ok(msg) => {
                         self.queue_msg(token, &msg);
                     }
@@ -1496,9 +1489,30 @@ impl EventLoop {
             // The reply for a dropped session is simply lost — the
             // client will re-request after RESUME.
             if shutdown_reply {
-                self.begin_teardown(done.session);
+                self.begin_teardown(session);
             }
         }
+    }
+
+    /// The pump died before finishing the engine: tells every attached
+    /// session and observer why, and returns the run's error.
+    fn pump_failed(&mut self) -> String {
+        self.stopping = true;
+        let cause = match self.pump.take().map(JoinHandle::join) {
+            Some(Err(payload)) => panic_message(payload.as_ref()),
+            _ => "exited before SHUTDOWN".to_string(),
+        };
+        let message = format!("ingest pump failed: {cause}");
+        let tokens: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.session.is_some() || c.kind == ConnKind::Observer)
+            .map(|(&token, _)| token)
+            .collect();
+        for token in tokens {
+            self.refuse_close(token, error_code::SHUTTING_DOWN, &message);
+        }
+        message
     }
 
     /// After the pump finished the engine: close every other
@@ -1529,7 +1543,7 @@ impl EventLoop {
     /// Periodic housekeeping: idle/stall closes and resume-grace
     /// expiry.
     fn sweep(&mut self, now: Instant) {
-        let idle = self.idle_timeout;
+        let idle = self.config.idle_timeout;
         let mut stalled: Vec<u64> = Vec::new();
         let mut idled: Vec<u64> = Vec::new();
         let mut http_idled: Vec<u64> = Vec::new();
@@ -1572,19 +1586,19 @@ impl EventLoop {
             self.close_conn(token, false);
         }
         for token in stalled {
-            self.shared.metrics.stall_closes.inc();
+            self.metrics.stall_closes.inc();
             let message = format!("frame stalled mid-read for {idle:?}, closing");
             self.refuse_close_with(token, error_code::STALLED, &message, true);
         }
         for token in idled {
-            self.shared.metrics.idle_closes.inc();
+            self.metrics.idle_closes.inc();
             let message = format!("idle for {idle:?}, closing");
             // Idle teardown is benign but final: the session does not
             // linger for resume.
             self.refuse_close_with(token, error_code::IDLE_TIMEOUT, &message, false);
         }
         // Detached sessions past the grace window are gone for good.
-        let grace = self.resume_grace;
+        let grace = self.config.resume_grace;
         let expired: Vec<u64> = self
             .sessions
             .iter()
@@ -1611,20 +1625,12 @@ impl EventLoop {
         if let Some(sess) = self.sessions.remove(&id) {
             self.tokens.remove(&sess.token);
             if !sess.pending.is_empty() {
-                self.shared
-                    .metrics
-                    .dropped_records
-                    .add(sess.pending.len() as u64);
-            }
-            if sess.conn.is_some() {
-                self.shared.attached.fetch_sub(1, Ordering::SeqCst);
+                self.metrics.dropped_records.add(sess.pending.len() as u64);
             }
             if sess.inflight > 0 {
-                let mut st = self.shared.pump.lock().expect("pump lock");
-                st.ctrl.retain(|c| c.session != id);
-                drop(st);
+                self.ctrl.retain(|c| c.session != id);
                 // The queue front may have changed; re-evaluate.
-                self.shared.work.notify_all();
+                self.release();
             }
         }
         self.sync_session_gauges();
@@ -1642,27 +1648,19 @@ impl EventLoop {
         let _ = self.poller.deregister(&conn.stream, token);
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         if let Some(id) = conn.session {
+            // Modes never mix, so in a sequenced run every record came
+            // by BATCH_SEQ.
             let detachable = may_detach
-                && !self.shared.stopping.load(Ordering::SeqCst)
-                && self.flush_deadline.is_none()
-                && self
-                    .sessions
-                    .get(&id)
-                    .map(|s| s.sequenced && s.records > 0)
-                    .unwrap_or(false);
+                && !self.stopping
+                && self.mode == Some(Mode::Sequenced)
+                && self.sessions.get(&id).is_some_and(|s| s.records > 0);
             if detachable {
                 if let Some(sess) = self.sessions.get_mut(&id) {
                     sess.conn = None;
                     sess.detached_at = Some(Instant::now());
                 }
-                self.shared.attached.fetch_sub(1, Ordering::SeqCst);
                 self.sync_session_gauges();
             } else {
-                // Keep attached-count bookkeeping consistent:
-                // discard_session decrements only when conn is Some.
-                if let Some(sess) = self.sessions.get_mut(&id) {
-                    sess.conn = Some(token);
-                }
                 self.discard_session(id);
             }
         }
@@ -1761,10 +1759,6 @@ impl EventLoop {
         true
     }
 
-    fn conn_writable(&mut self, token: u64) {
-        self.flush_conn(token);
-    }
-
     fn update_interest(&mut self, token: u64) {
         if let Some(conn) = self.conns.get(&token) {
             let interest = Interest {
@@ -1779,11 +1773,16 @@ impl EventLoop {
         self.conns.get(&token).and_then(|c| c.session)
     }
 
+    /// Sessions attached to a live connection.
+    fn attached(&self) -> usize {
+        self.sessions.values().filter(|s| s.conn.is_some()).count()
+    }
+
     fn sync_session_gauges(&self) {
-        let attached = self.shared.attached.load(Ordering::SeqCst);
-        self.shared.metrics.active_sessions.set(attached as i64);
-        let detached = self.sessions.values().filter(|s| s.conn.is_none()).count();
-        self.shared.metrics.detached_sessions.set(detached as i64);
+        let attached = self.attached();
+        self.metrics.active_sessions.set(attached as i64);
+        let detached = self.sessions.len() - attached;
+        self.metrics.detached_sessions.set(detached as i64);
     }
 }
 
@@ -1807,235 +1806,184 @@ fn complete_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
     Ok(Some(HEADER_LEN + len))
 }
 
-/// The ingest pump: the engine's single owner. Feeds the contiguous
-/// prefix of the reorder ring in canonical order and executes control
-/// verbs at their watermarks, in FIFO order.
-fn pump_thread(shared: Arc<Shared>, mut engine: RepartitionEngine, wake: UdpSocket) {
-    // The live-telemetry tap: each booked epoch renders to its journal
-    // JSONL line and queues for the event loop to fan out to
-    // observers. The hook fires on this thread (the epoch closes
-    // during ingest or a control verb), outside the pump lock.
-    {
-        let hook_shared = Arc::clone(&shared);
-        let hook_wake = wake.try_clone().ok();
-        let objective = shared.header.objective.clone();
-        engine.set_epoch_hook(Box::new(move |record| {
-            let line = record.journal_event(&objective).to_json_line();
-            hook_shared
-                .events
-                .lock()
-                .expect("events lock")
-                .push_back(line);
-            if let Some(w) = &hook_wake {
-                let _ = w.send(&[1]);
-            }
-        }));
-    }
-    let mut engine = Some(engine);
-    let mut batch: Vec<(usize, u64)> = Vec::with_capacity(PUMP_CHUNK);
-    loop {
-        batch.clear();
-        let mut ctrl: Option<CtrlReq> = None;
-        {
-            let mut st = shared.pump.lock().expect("pump lock");
-            loop {
-                if st.stopping {
-                    // Drain never resumes after shutdown; whatever is
-                    // still parked in the ring was never ingested.
-                    let stranded = st.ring.iter().filter(|s| s.is_some()).count();
-                    if stranded > 0 {
-                        shared.metrics.dropped_records.add(stranded as u64);
-                        st.ring.iter_mut().for_each(|s| *s = None);
-                    }
-                    return;
-                }
-                let cap = st.cap();
-                while batch.len() < PUMP_CHUNK {
-                    let slot = (st.next % cap) as usize;
-                    match st.ring[slot].take() {
-                        Some(rec) => {
-                            st.next += 1;
-                            batch.push(rec);
-                        }
-                        None => break,
-                    }
-                }
-                if ctrl.is_none() {
-                    let due = st
-                        .ctrl
-                        .front()
-                        .map(|c| c.watermark <= st.next)
-                        .unwrap_or(false);
-                    if due {
-                        ctrl = st.ctrl.pop_front();
-                    }
-                }
-                if !batch.is_empty() || ctrl.is_some() {
-                    break;
-                }
-                st = shared.work.wait(st).expect("pump wait");
-            }
-        }
-        if !batch.is_empty() {
-            if let Some(eng) = engine.as_mut() {
-                let started = Instant::now();
-                for &(tenant, block) in &batch {
-                    eng.record_access(tenant, block);
-                }
-                shared
-                    .metrics
-                    .batch_drain_nanos
-                    .observe(started.elapsed().as_nanos() as u64);
-                shared.metrics.records.add(batch.len() as u64);
-            } else {
-                // Post-shutdown stragglers (cannot normally happen —
-                // stopping is set with the same lock).
-                shared.metrics.dropped_records.add(batch.len() as u64);
-            }
-            // Window space freed: let the event loop refill it.
-            let _ = wake.send(&[1]);
-        }
-        if let Some(req) = ctrl {
-            let shutdown = matches!(req.op, CtrlOp::Shutdown);
-            let result = run_ctrl(&shared, &mut engine, req.op);
-            shared
-                .completions
-                .lock()
-                .expect("completions lock")
-                .push_back(Completion {
-                    session: req.session,
-                    result,
-                });
-            if shutdown {
-                let mut st = shared.pump.lock().expect("pump lock");
-                st.stopping = true;
-                shared.stopping.store(true, Ordering::SeqCst);
-            }
-            let _ = wake.send(&[1]);
-        }
-    }
+/// The ingest pump: the engine's single owner.
+struct Pump {
+    engine: RepartitionEngine,
+    header: RunHeader,
+    registry: Arc<MetricsRegistry>,
+    records: Counter,
+    batch_drain_nanos: Histogram,
+    consumed: Arc<AtomicU64>,
+    back: Sender<Back>,
+    wake: UdpSocket,
 }
 
-/// Executes one control verb against the engine.
-fn run_ctrl(
-    shared: &Shared,
-    engine: &mut Option<RepartitionEngine>,
-    op: CtrlOp,
-) -> Result<Message, (u64, String)> {
-    let finished = || {
-        (
-            error_code::SHUTTING_DOWN,
-            "engine already finished".to_string(),
-        )
-    };
-    match op {
-        CtrlOp::Stats => {
-            let snap = shared.registry.snapshot();
-            let counter = |name: &str| -> u64 {
-                match snap.get(name) {
-                    Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                    _ => 0,
+impl Pump {
+    /// Feeds released records to the engine and runs control verbs, in
+    /// channel order. Returns the finished run after SHUTDOWN, or
+    /// `None` if the event loop hung up first.
+    fn run(mut self, work: Receiver<Work>) -> Option<ServeOutcome> {
+        // The live-telemetry tap: each booked epoch renders to its
+        // journal JSONL line for the event loop to fan out to
+        // observers. The hook fires on this thread, during a chunk or a
+        // control verb, so the wake that ends either delivers the line.
+        let back = self.back.clone();
+        let objective = self.header.objective.clone();
+        self.engine.set_epoch_hook(Box::new(move |record| {
+            let line = record.journal_event(&objective).to_json_line();
+            let _ = back.send(Back::Epoch(line));
+        }));
+        while let Ok(item) = work.recv() {
+            match item {
+                Work::Records(batch) => {
+                    let started = Instant::now();
+                    for &(tenant, block) in &batch {
+                        self.engine.record_access(tenant, block);
+                    }
+                    self.batch_drain_nanos
+                        .observe(started.elapsed().as_nanos() as u64);
+                    self.records.add(batch.len() as u64);
+                    self.consumed
+                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    // Window space freed: let the event loop refill it.
+                    let _ = self.wake.send(&[1]);
                 }
-            };
-            Ok(Message::StatsReply {
-                stats: ServeStats {
-                    connections: shared.admitted.load(Ordering::SeqCst),
-                    active_sessions: shared.attached.load(Ordering::SeqCst),
-                    frames: counter("cps_serve_frames_total"),
-                    batches: counter("cps_serve_batches_total"),
-                    records: counter("cps_serve_records_total"),
-                    decode_errors: counter("cps_serve_decode_errors_total"),
-                    backpressure_nanos: 0,
-                    epochs: engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
-                },
-            })
-        }
-        CtrlOp::Allocation => {
-            let eng = engine.as_ref().ok_or_else(finished)?;
-            Ok(Message::AllocationReply {
-                units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
-            })
-        }
-        CtrlOp::Epoch => {
-            let eng = engine.as_ref().ok_or_else(finished)?;
-            Ok(Message::EpochReply {
-                epochs: eng.epochs_completed() as u64,
-            })
-        }
-        CtrlOp::Snapshot => Ok(Message::SnapshotReply {
-            text: shared.registry.snapshot().render_jsonl(),
-        }),
-        CtrlOp::CostCurves { trace } => {
-            let _ = trace; // Stamped on the epoch by the paired APPLY.
-            let eng = engine.as_mut().ok_or_else(finished)?;
-            let started = Instant::now();
-            let exported = eng.export_epoch_curves();
-            let profile_nanos = started.elapsed().as_nanos() as u64;
-            let curves = exported
-                .iter()
-                .map(|c| WireCurve {
-                    accesses: c.counts.accesses,
-                    misses: c.counts.misses,
-                    samples_bits: c.curve.as_ref().map_or_else(Vec::new, |m| {
-                        m.samples().iter().map(|s| s.to_bits()).collect()
-                    }),
-                })
-                .collect();
-            Ok(Message::CostCurvesReply {
-                curves,
-                profile_nanos,
-            })
-        }
-        CtrlOp::Apply {
-            target,
-            predicted,
-            trace,
-        } => {
-            let eng = engine.as_mut().ok_or_else(finished)?;
-            // The engine panics on a malformed budget; refuse it here,
-            // at the trust boundary.
-            let (tenants, units) = (eng.tenants(), eng.config().cache.units);
-            if target.len() != tenants || target.iter().sum::<usize>() > units {
-                return Err((
-                    error_code::PROTOCOL,
-                    format!(
-                        "allocation must give one budget to each of {tenants} tenants \
-                         and fit {units} units"
-                    ),
-                ));
+                Work::Ctrl(CtrlReq {
+                    session,
+                    op: CtrlOp::Shutdown,
+                    ..
+                }) => return Some(self.shutdown(session)),
+                Work::Ctrl(req) => {
+                    let result = self.run_ctrl(req.op);
+                    self.reply(req.session, result);
+                }
             }
-            let started = Instant::now();
-            let actuation = eng
-                .apply_external_allocation(Some(&target), predicted, (trace != 0).then_some(trace))
-                .ok_or_else(|| {
-                    (
-                        error_code::PROTOCOL,
-                        "no epoch boundary open (apply must follow an export)".to_string(),
-                    )
-                })?;
-            let actuate_nanos = started.elapsed().as_nanos() as u64;
-            Ok(Message::ApplyReply {
-                repartitioned: actuation.repartitioned,
-                units_moved: actuation.units_moved as u64,
-                actuate_nanos,
-            })
         }
-        CtrlOp::Shutdown => {
-            let eng = engine.take().ok_or_else(finished)?;
-            let report = eng.finish();
-            let journal = render_journal(&shared.header, &report);
-            let snap = shared.registry.snapshot();
-            let records = match snap.get("cps_serve_records_total") {
-                Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                _ => 0,
-            };
-            *shared.outcome.lock().expect("outcome lock") = Some(ServeOutcome {
-                report,
-                journal: journal.clone(),
-                connections: shared.admitted.load(Ordering::SeqCst),
-                records,
-            });
-            Ok(Message::ShutdownReply { journal })
+        None
+    }
+
+    fn reply(&self, session: u64, result: Result<Message, (u64, String)>) {
+        let _ = self.back.send(Back::Reply { session, result });
+        let _ = self.wake.send(&[1]);
+    }
+
+    /// Finishes the engine, replies with the journal and returns the
+    /// run (the event loop fills in the connection count).
+    fn shutdown(self, session: u64) -> ServeOutcome {
+        let report = self.engine.finish();
+        let journal = render_journal(&self.header, &report);
+        let result = Ok(Message::ShutdownReply {
+            journal: journal.clone(),
+        });
+        let _ = self.back.send(Back::Reply { session, result });
+        let _ = self.wake.send(&[1]);
+        ServeOutcome {
+            report,
+            journal,
+            connections: 0,
+            records: self.consumed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Executes one control verb (any but SHUTDOWN) against the engine.
+    fn run_ctrl(&mut self, op: CtrlOp) -> Result<Message, (u64, String)> {
+        let engine = &mut self.engine;
+        match op {
+            CtrlOp::Stats {
+                connections,
+                active_sessions,
+            } => {
+                let snap = self.registry.snapshot();
+                let counter = |name: &str| -> u64 {
+                    match snap.get(name) {
+                        Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
+                        _ => 0,
+                    }
+                };
+                Ok(Message::StatsReply {
+                    stats: ServeStats {
+                        connections,
+                        active_sessions,
+                        frames: counter("cps_serve_frames_total"),
+                        batches: counter("cps_serve_batches_total"),
+                        records: counter("cps_serve_records_total"),
+                        decode_errors: counter("cps_serve_decode_errors_total"),
+                        backpressure_nanos: 0,
+                        epochs: engine.epochs_completed() as u64,
+                    },
+                })
+            }
+            CtrlOp::Allocation => Ok(Message::AllocationReply {
+                units: engine
+                    .allocation_units()
+                    .iter()
+                    .map(|&u| u as u64)
+                    .collect(),
+            }),
+            CtrlOp::Epoch => Ok(Message::EpochReply {
+                epochs: engine.epochs_completed() as u64,
+            }),
+            CtrlOp::Snapshot => Ok(Message::SnapshotReply {
+                text: self.registry.snapshot().render_jsonl(),
+            }),
+            CtrlOp::CostCurves { trace } => {
+                let _ = trace; // Stamped on the epoch by the paired APPLY.
+                let started = Instant::now();
+                let exported = engine.export_epoch_curves();
+                let profile_nanos = started.elapsed().as_nanos() as u64;
+                let curves = exported
+                    .iter()
+                    .map(|c| WireCurve {
+                        accesses: c.counts.accesses,
+                        misses: c.counts.misses,
+                        samples_bits: c.curve.as_ref().map_or_else(Vec::new, |m| {
+                            m.samples().iter().map(|s| s.to_bits()).collect()
+                        }),
+                    })
+                    .collect();
+                Ok(Message::CostCurvesReply {
+                    curves,
+                    profile_nanos,
+                })
+            }
+            CtrlOp::Apply {
+                target,
+                predicted,
+                trace,
+            } => {
+                // The engine panics on a malformed budget; refuse it here,
+                // at the trust boundary.
+                let (tenants, units) = (engine.tenants(), engine.config().cache.units);
+                if target.len() != tenants || target.iter().sum::<usize>() > units {
+                    return Err((
+                        error_code::PROTOCOL,
+                        format!(
+                            "allocation must give one budget to each of {tenants} tenants \
+                             and fit {units} units"
+                        ),
+                    ));
+                }
+                let started = Instant::now();
+                let actuation = engine
+                    .apply_external_allocation(
+                        Some(&target),
+                        predicted,
+                        (trace != 0).then_some(trace),
+                    )
+                    .ok_or_else(|| {
+                        (
+                            error_code::PROTOCOL,
+                            "no epoch boundary open (apply must follow an export)".to_string(),
+                        )
+                    })?;
+                let actuate_nanos = started.elapsed().as_nanos() as u64;
+                Ok(Message::ApplyReply {
+                    repartitioned: actuation.repartitioned,
+                    units_moved: actuation.units_moved as u64,
+                    actuate_nanos,
+                })
+            }
+            CtrlOp::Shutdown => unreachable!("the pump finishes the engine on SHUTDOWN"),
         }
     }
 }
@@ -2086,4 +2034,102 @@ fn token_nonce() -> u64 {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0x5eed);
     splitmix64(t ^ (std::process::id() as u64).rotate_left(32))
+}
+
+/// The message a panicking thread left behind.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ServeError};
+    use cps_core::CacheConfig;
+    use cps_engine::{
+        default_profilers, EngineConfig, HysteresisActuator, PartitionSolver, SolveInput,
+        SolveOutcome,
+    };
+
+    /// A solve stage that panics at the third epoch boundary.
+    struct PanicsAtEpoch3 {
+        solves: usize,
+    }
+
+    impl PartitionSolver for PanicsAtEpoch3 {
+        fn solve(&mut self, _input: SolveInput<'_>) -> SolveOutcome {
+            self.solves += 1;
+            assert!(self.solves < 3, "solver failed at epoch {}", self.solves);
+            SolveOutcome {
+                predicted_cost: None,
+                solve_nanos: 0,
+                allocation: None,
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_stage_fails_the_run_instead_of_hanging() {
+        let engine_cfg = EngineConfig::new(CacheConfig::new(16, 1), 1_000);
+        let engine = RepartitionEngine::with_stages(
+            engine_cfg.clone(),
+            default_profilers(&engine_cfg, 2),
+            Box::new(PanicsAtEpoch3 { solves: 0 }),
+            Box::new(HysteresisActuator::new(&engine_cfg, 2)),
+        );
+        let config = ServeConfig {
+            engine: engine_cfg,
+            tenants: 2,
+            max_conns: 4,
+            idle_timeout: Duration::from_secs(5),
+            window_cap: 1 << 16,
+            resume_grace: Duration::from_secs(5),
+            telemetry_addr: None,
+        };
+        let registry = Arc::new(MetricsRegistry::new());
+        let server = Server::with_engine("127.0.0.1:0", config, registry, engine).expect("bind");
+        let addr = server.local_addr().expect("local addr").to_string();
+        let (run_tx, run) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let _ = run_tx.send(server.run());
+        });
+
+        // The client side runs on its own thread too, so a daemon that
+        // never answers fails the test at the deadline instead of
+        // hanging it.
+        let (reply_tx, reply) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let records: Vec<(u64, u64)> = (0..4_000u64).map(|i| (i % 2, i % 37)).collect();
+            let mut client = Client::connect(&addr, None).expect("connect");
+            // Two epochs close cleanly and the daemon answers.
+            client.push_batch(&records[..2_500]).expect("push");
+            assert_eq!(client.epochs().expect("epochs before the panic"), 2);
+            // The third boundary panics inside the pump.
+            client.push_batch(&records[2_500..]).expect("push");
+            let _ = reply_tx.send(client.stats());
+        });
+        let deadline = Duration::from_secs(30);
+        match reply.recv_timeout(deadline).expect("the daemon answers") {
+            Err(ServeError::Server { code, message }) => {
+                assert_eq!(code, error_code::SHUTTING_DOWN);
+                assert_eq!(message, "ingest pump failed: solver failed at epoch 3");
+            }
+            other => panic!("expected a SHUTTING_DOWN refusal, got {other:?}"),
+        }
+        let run = run
+            .recv_timeout(deadline)
+            .expect("Server::run returns instead of hanging");
+        assert_eq!(
+            run.err().as_deref(),
+            Some("ingest pump failed: solver failed at epoch 3")
+        );
+        client.join().expect("client thread");
+        server.join().expect("server thread");
+    }
 }

@@ -62,6 +62,23 @@ fn start(config: ServeConfig) -> (String, JoinHandle<Result<ServeOutcome, String
     (addr, std::thread::spawn(move || server.run()))
 }
 
+/// The default window, and one smaller than a single batch so the
+/// pause-and-refill path carries the whole run.
+const WINDOW_CAPS: [usize; 2] = [1 << 16, 8];
+
+/// Asserts from a SNAPSHOT reply that a window smaller than one batch
+/// (both tests send at least 512 records a frame) paused its senders.
+fn assert_window_pressure(snapshot: &str, window_cap: usize) {
+    let pauses = snapshot
+        .lines()
+        .find(|l| l.contains("\"cps_serve_window_pauses_total\""))
+        .expect("pause counter in the snapshot");
+    assert!(
+        window_cap >= 512 || !pauses.ends_with("\"value\":0}"),
+        "a {window_cap}-record window must pause its senders: {pauses}"
+    );
+}
+
 /// Every Nth global position of the stream, as sequenced records.
 fn round_robin_slice(stream: &[(u64, u64)], j: usize, n: usize) -> Vec<(u64, u64, u64)> {
     stream
@@ -115,7 +132,14 @@ fn assert_identical(
 
 #[test]
 fn served_mux_run_is_report_identical_to_in_process() {
-    let cfg = config(4);
+    for window_cap in WINDOW_CAPS {
+        served_mux_run_is_report_identical_at(window_cap);
+    }
+}
+
+fn served_mux_run_is_report_identical_at(window_cap: usize) {
+    let mut cfg = config(4);
+    cfg.window_cap = window_cap;
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -142,6 +166,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
     assert_eq!(stats.decode_errors, 0);
     let snapshot = client.snapshot().expect("snapshot");
     assert!(snapshot.contains("cps_serve_records_total"));
+    assert_window_pressure(&snapshot, window_cap);
 
     let journal = client.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
@@ -319,7 +344,14 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 
 #[test]
 fn sequenced_multi_connection_run_is_report_identical() {
-    let cfg = config(4);
+    for window_cap in WINDOW_CAPS {
+        sequenced_multi_connection_run_is_report_identical_at(window_cap);
+    }
+}
+
+fn sequenced_multi_connection_run_is_report_identical_at(window_cap: usize) {
+    let mut cfg = config(4);
+    cfg.window_cap = window_cap;
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -340,6 +372,7 @@ fn sequenced_multi_connection_run_is_report_identical() {
         }
     });
     wait_for_records(&mut control, stream.len() as u64);
+    assert_window_pressure(&control.snapshot().expect("snapshot"), window_cap);
     let journal = control.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(outcome.records, stream.len() as u64);

@@ -231,15 +231,12 @@ fn new_engine(
 
 /// The engine knobs, as the run banner prints them.
 fn describe(cfg: &EngineConfig) -> String {
-    let decay = match cfg.profiler {
-        ProfilerMode::Windowed { decay } => decay,
-        ProfilerMode::Cumulative => 0.0,
-    };
     format!(
-        "{} x {}-block units, epoch {}, decay {decay}, hysteresis {}, objective {}, policy {:?}",
+        "{} x {}-block units, epoch {}, decay {}, hysteresis {}, objective {}, policy {:?}",
         cfg.cache.units,
         cfg.cache.blocks_per_unit,
         cfg.epoch_length,
+        cfg.decay,
         cfg.min_repartition_units,
         cfg.objective.name(),
         cfg.policy

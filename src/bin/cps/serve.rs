@@ -15,7 +15,7 @@
 
 use crate::common::{parse_engine_config, render_metrics_snapshot, write_text_out, Args};
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::serve::{ServeConfig, Server, PROTOCOL_VERSION};
+use cache_partition_sharing::serve::{ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,12 +75,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             Some(format!("{host}:{port}"))
         }
     };
-    let proto: u8 = args.get_parse("proto", PROTOCOL_VERSION)?;
-    if proto != PROTOCOL_VERSION {
-        return Err(format!(
-            "unknown --proto {proto}; this build speaks protocol version {PROTOCOL_VERSION} only"
-        ));
-    }
     let journal_path = args.get("journal").map(str::to_string);
     let metrics_path = args.get("metrics-out").map(str::to_string);
     let port_file = args.get("port-file").map(str::to_string);

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use cps_engine::{EngineConfig, EngineReport, Policy, RepartitionEngine};
     pub use cps_hotl::online::OnlineProfiler;
-    pub use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
+    pub use cps_hotl::windowed::WindowedProfiler;
     pub use cps_hotl::{
         sample_footprint, BurstConfig, CoRunModel, Footprint, MissRatioCurve, ReuseProfile,
         SoloProfile,

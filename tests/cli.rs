@@ -751,20 +751,6 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
                 "32",
                 "--port",
                 "auto",
-                "--proto",
-                "1",
-            ],
-            "protocol version",
-        ),
-        (
-            &[
-                "serve",
-                "--tenants",
-                "2",
-                "--units",
-                "32",
-                "--port",
-                "auto",
                 "--shards",
                 "2",
             ],
